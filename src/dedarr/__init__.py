@@ -6,9 +6,7 @@ from .charquasi import (
     evaluate,
     lcm_period,
     localize,
-    m_value,
     minimality_certificate,
-    subset_data,
 )
 from .layers import (
     intersection_lattice,
@@ -35,11 +33,9 @@ __all__ = [
     "layer_poset",
     "lcm_period",
     "localize",
-    "m_value",
     "minimality_certificate",
     "quadratic",
     "rational_integers",
-    "subset_data",
     "whitney_characteristic_polynomial",
 ]
 

@@ -23,7 +23,7 @@ from .errors import (
     ZeroInMultiplicativeSet,
 )
 from .quasipoly import QuasiPolynomial, ring_from_json, ring_to_json
-from .ring import Ideal
+from .ring import Ideal, PrimeValuator
 
 SUBSET_PATH_MAX_N = 22
 AUTO_SUBSET_MAX_N = 12
@@ -320,59 +320,12 @@ def lcm_period(A, rank_buckets=None):
 # constituents, subset-sum path
 
 
-class _PrimeValuator:
-    """ord at a fixed prime ideal, with cached powers."""
-
-    def __init__(self, prime):
-        self.prime = prime
-        self.ring = prime.ring
-        self._powers = [Ideal.unit(prime.ring), prime]
-        self._inert_p = None
-        if prime.ring.degree == 2:
-            import math
-            n = prime.norm
-            r = math.isqrt(n)
-            if r * r == n and prime == Ideal.principal(
-                    prime.ring, prime.ring.from_int(r)):
-                self._inert_p = r
-        elif prime.ring.degree == 1:
-            self._inert_p = prime.hnf[0][0]
-
-    def ord_element(self, x):
-        if self._inert_p is not None:
-            p = self._inert_p
-            v = 0
-            coords = list(x)
-            while all(c % p == 0 for c in coords):
-                v += 1
-                coords = [c // p for c in coords]
-            return v
-        v = 0
-        while True:
-            power = self._power(v + 1)
-            if power.contains(x):
-                v += 1
-            else:
-                return v
-
-    def ord_ideal(self, a):
-        v = 0
-        while self._power(v + 1).contains_ideal(a):
-            v += 1
-        return v
-
-    def _power(self, e):
-        while len(self._powers) <= e:
-            self._powers.append(self._powers[-1] * self.prime)
-        return self._powers[e]
-
-
 def _constituents_subset_sum(A, rho):
     ring = A.ring
     ell = A.ell
     n = A.n
     primes = [p for p, _ in rho.factor()]
-    vals = [_PrimeValuator(p) for p in primes]
+    vals = [PrimeValuator(p) for p in primes]
     np_ = len(primes)
     INF = 10 ** 9
     counts = {}
@@ -557,6 +510,30 @@ class LocalizedArrangement:
     period: Ideal            # the period with those primes stripped
 
 
+def _invertible(ring, s_gens):
+    gens = tuple(ring.element(g) for g in s_gens)
+    if any(ring.is_zero(g) for g in gens):
+        raise ZeroInMultiplicativeSet("cannot invert zero")
+    return gens
+
+
+def strip_primes(rho, s_gens):
+    """Remove from rho the primes that contain an element of s_gens.
+
+    Those are the primes that become units once s_gens is inverted.
+    Returns (the stripped period, the removed primes).
+    """
+    gens = _invertible(rho.ring, s_gens)
+    stripped = Ideal.unit(rho.ring)
+    dead = []
+    for p, e in rho.factor():
+        if any(p.contains(g) for g in gens):
+            dead.append(p)
+        else:
+            stripped = stripped * p.pow(e)
+    return stripped, tuple(dead)
+
+
 def localize(A, s_gens, qp=None):
     """Invert the elements of s_gens: strip their primes from the period.
 
@@ -564,23 +541,11 @@ def localize(A, s_gens, qp=None):
     localized quasi-polynomial is the restriction of the original to the
     divisors coprime to every generator.
     """
-    ring = A.ring
-    gens = [ring.element(g) for g in s_gens]
-    for g in gens:
-        if ring.is_zero(g):
-            raise ZeroInMultiplicativeSet("cannot invert zero")
+    gens = _invertible(A.ring, s_gens)
     if qp is None:
         qp = constituents(A)
-    rho = qp.period
-    gen_ideals = [Ideal.principal(ring, g) for g in gens]
-    stripped = Ideal.unit(ring)
-    dead = []
-    for p, e in rho.factor():
-        if any(p.contains_ideal(gi) for gi in gen_ideals):
-            dead.append(p)
-        else:
-            stripped = stripped * p.pow(e)
+    stripped, dead = strip_primes(qp.period, gens)
     consts = {k: qp.constituents[k] for k in stripped.divisors()}
-    local_qp = QuasiPolynomial(ring, stripped, consts)
-    view = LocalizedArrangement(A, tuple(gens), tuple(dead), stripped)
+    local_qp = QuasiPolynomial(A.ring, stripped, consts)
+    view = LocalizedArrangement(A, gens, dead, stripped)
     return view, local_qp

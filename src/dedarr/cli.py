@@ -197,9 +197,6 @@ def build_parser():
         prog="dedarr",
         description="characteristic quasi-polynomials of integral "
                     "arrangements over Z and quadratic orders")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="cap on worker threads (results are "
-                             "deterministic regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("period", help="LCM-period of an arrangement")

@@ -338,15 +338,13 @@ class _Refinement:
 class LayerPoset:
     """All layers, grouped by flat, with annihilators and Moebius values."""
 
-    def __init__(self, arrangement, period, lattice, m, layers, index,
-                 torsion_bound):
+    def __init__(self, arrangement, period, lattice, m, layers, index):
         self.arrangement = arrangement
         self.period = period
         self.lattice = lattice
         self.m = m
         self.layers = layers
         self.index = index  # (flat id, y tuple) -> layer index
-        self.torsion_bound = torsion_bound
         self._lam = {}
 
     # -- plumbing --
@@ -531,7 +529,7 @@ def layer_poset(A, period=None, mobius="auto", budget=LAYER_BUDGET):
     lattice = FlatLattice(A)
     D = lattice.D
     deg = ring.degree
-    poset = LayerPoset(A, period, lattice, m, [], {}, budget)
+    poset = LayerPoset(A, period, lattice, m, [], {})
 
     omega_rows = None
     if deg == 2:
@@ -618,22 +616,6 @@ def layer_poset(A, period=None, mobius="auto", budget=LAYER_BUDGET):
     return poset
 
 
-def mobius_values(P, method="auto"):
-    return P.fill_mobius(method)
-
-
-def kappa_torsion_subposet(P, kappa):
-    return P.kappa_subposet(kappa)
-
-
-def kappa_characteristic_polynomial(P, kappa):
-    return P.kappa_characteristic_polynomial(kappa)
-
-
-def hasse_dot(P, kappa=None):
-    return P.hasse_dot(kappa)
-
-
 def localized_layer_poset(A, s_gens, mobius="auto"):
     """Layer poset of the arrangement over the localization at s_gens.
 
@@ -641,10 +623,6 @@ def localized_layer_poset(A, s_gens, mobius="auto"):
     that survive are exactly those annihilated by the stripped period,
     so the construction runs with the smaller modulus directly.
     """
-    from .charquasi import lcm_period, localize
-    # localize() needs some quasi-polynomial carrier for the period only
-    rho = lcm_period(A)
-    carrier = QuasiPolynomial(
-        A.ring, rho, {k: (0,) * (A.ell + 1) for k in rho.divisors()})
-    view, _ = localize(A, s_gens, qp=carrier)
-    return layer_poset(A, period=view.period, mobius=mobius)
+    from .charquasi import lcm_period, strip_primes
+    stripped, _ = strip_primes(lcm_period(A), s_gens)
+    return layer_poset(A, period=stripped, mobius=mobius)

@@ -17,7 +17,7 @@ normal form, and the two routes cross-check each other in the tests.
 from itertools import combinations
 
 from . import zlinalg as zl
-from .errors import ElementNotInModule, NonIntegralQuotient, RingMismatch
+from .errors import ElementNotInModule, NonIntegralQuotient
 from .ring import FractionalIdeal, Ideal
 
 
@@ -175,19 +175,16 @@ class TorsionModule:
     Smith coordinates.
     """
 
-    __slots__ = ("ring", "invariants", "gens_ambient", "rel_basis",
-                 "rel_pivots", "omega_action", "_ambient_dim")
+    __slots__ = ("ring", "invariants", "rel_basis", "rel_pivots",
+                 "omega_action")
 
-    def __init__(self, ring, invariants, gens_ambient, rel_rows,
-                 omega_action, ambient_dim):
+    def __init__(self, ring, invariants, rel_rows, omega_action):
         self.ring = ring
         self.invariants = tuple(invariants)
-        self.gens_ambient = gens_ambient
         basis, pivots = zl.hnf(rel_rows) if rel_rows else ([], [])
         self.rel_basis = basis
         self.rel_pivots = pivots
         self.omega_action = omega_action
-        self._ambient_dim = ambient_dim
 
     def __len__(self):
         size = 1
@@ -255,7 +252,7 @@ def torsion_cokernel(C):
     rel = C.restriction_rows()
     basis, _ = zl.hnf(rel)
     if not basis:
-        return TorsionModule(ring, (), [], [], [], n)
+        return TorsionModule(ring, (), [], [])
     diag, U, V, Vinv = zl.snf_transforms(basis)
     # Z^n / L in coordinates z = y * V: z_i taken mod diag_i (i < rank),
     # free otherwise.  The torsion part keeps the coordinates with d > 1.
@@ -275,12 +272,4 @@ def torsion_cokernel(C):
     # action on z-coordinates: z -> z V^{-1} W V, restricted to torsion coords
     conj = zl.mat_mul(zl.mat_mul(Vinv, w_amb), V)
     action = [[conj[i][j] for j in tors_idx] for i in tors_idx]
-    gens_ambient = [zl.vec_mat([1 if t == i else 0
-                                for t in range(n)], Vinv)
-                    for i in tors_idx]
-    module = TorsionModule(ring, invariants, gens_ambient, basis, action, n)
-    return module
-
-
-def annihilator(M, coords):
-    return M.annihilator(coords)
+    return TorsionModule(ring, invariants, basis, action)

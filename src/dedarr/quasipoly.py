@@ -176,18 +176,6 @@ def _find(consts, ideal):
     raise KeyError(f"no constituent for {ideal!r}")
 
 
-def qp_evaluate(q, a):
-    return q.evaluate(a)
-
-
-def qp_sum(q1, q2):
-    return q1 + q2
-
-
-def qp_minimum_period(q):
-    return q.minimum_period()
-
-
 def ring_to_json(ring):
     if ring.kind == "Z":
         return {"type": "Z"}

@@ -61,9 +61,6 @@ class Ring:
         object.__setattr__(self, "zero", (0,) * deg)
         object.__setattr__(self, "one", (1,) + (0,) * (deg - 1))
 
-    def symbol(self):
-        return "w"
-
     # -- element arithmetic (tuples of length `degree`) --
 
     def from_int(self, a):
@@ -129,10 +126,9 @@ class Ring:
         if self.degree == 1:
             return str(x[0])
         a, b = x
-        w = self.symbol()
         if b == 0:
             return str(a)
-        wterm = w if b == 1 else (f"-{w}" if b == -1 else f"{b}{w}")
+        wterm = "w" if b == 1 else ("-w" if b == -1 else f"{b}w")
         if a == 0:
             return wterm
         return f"{a}+{wterm}" if not wterm.startswith("-") else f"{a}{wterm}"
@@ -240,10 +236,6 @@ class Ideal:
         c = self.hnf[1][1]
         return a * c // math.gcd(b, c)
 
-    def smallest_generators(self):
-        """A short, deterministic generating set (the HNF basis rows)."""
-        return self.basis()
-
     # -- arithmetic --
 
     def __add__(self, other):
@@ -321,24 +313,13 @@ class Ideal:
     # -- primality and factorization --
 
     def is_prime(self):
-        n = self._norm
-        if n == 1:
-            return False
-        if _is_prime_int(n):
-            if self.ring.degree == 1:
-                return True
-            # norm-p ideals of a maximal order are prime
-            return True
-        if self.ring.degree == 2:
-            r = _int_sqrt(n)
-            if r * r == n and _is_prime_int(r):
-                if self != Ideal.principal(self.ring, self.ring.from_int(r)):
-                    return False
-                # <r> is prime exactly when r is inert, i.e. the minimal
-                # polynomial of w has no root mod r
-                t, nn = self.ring.omega_trace, self.ring.omega_norm
-                return all((x * x - t * x + nn) % r for x in range(r))
-        return False
+        if _is_prime_int(self._norm):
+            return True  # norm-p ideals of a maximal order are prime
+        # the only other primes are <r> for an inert rational prime r, i.e.
+        # one where the minimal polynomial of w has no root mod r
+        r = self.hnf[0][0]
+        return (self.hnf == ((r, 0), (0, r)) and _is_prime_int(r)
+                and not _omega_roots(self.ring, r))
 
     def factor(self):
         """Prime factorization, deterministically ordered."""
@@ -348,7 +329,7 @@ class Ideal:
         factors = {}
         for p, _ in sorted(_factor_int(self._norm).items()):
             for prime in _primes_above(ring, p):
-                e = ord_p(self, prime)
+                e = PrimeValuator(prime).ord_ideal(self)
                 if e:
                     factors[prime] = e
         items = sorted(factors.items(), key=lambda kv: kv[0].sort_key())
@@ -444,54 +425,60 @@ class PrimeFactorization:
                           for p, e in self.factors)
 
 
-# -- module-level operation names --
+class PrimeValuator:
+    """ord at a fixed prime ideal, with cached powers.
 
-def ideal_from_generators(ring, gens):
-    return Ideal.from_generators(ring, gens)
+    A prime generated by a rational prime r (every prime over Z, and the
+    inert primes of a quadratic order) has r times the identity as its
+    HNF; there ord is the r-adic valuation of the coordinates.
+    """
 
+    def __init__(self, prime):
+        self.prime = prime
+        self._powers = [Ideal.unit(prime.ring), prime]
+        r = prime.hnf[0][0]
+        self._rational = r if (prime.ring.degree == 1
+                               or prime.hnf == ((r, 0), (0, r))) else None
 
-def ideal_sum(a, b):
-    return a + b
+    def ord_element(self, x):
+        """Largest e with x in prime^e, for a nonzero element x."""
+        if self._rational is not None:
+            return self._rational_ord(x)
+        v = 0
+        while self._power(v + 1).contains(x):
+            v += 1
+        return v
 
+    def ord_ideal(self, a):
+        """Largest e with prime^e dividing the ideal a."""
+        _check_same_ring(self.prime, a)
+        if self._rational is not None:
+            # a lies in <r^e> iff every HNF row does
+            return self._rational_ord([c for row in a.hnf for c in row])
+        v = 0
+        while self._power(v + 1).contains_ideal(a):
+            v += 1
+        return v
 
-def ideal_product(a, b):
-    return a * b
+    def _rational_ord(self, coords):
+        r = self._rational
+        v = 0
+        while all(c % r == 0 for c in coords):
+            v += 1
+            coords = [c // r for c in coords]
+        return v
 
-
-def ideal_intersection(a, b):
-    return a.intersect(b)
-
-
-def ideal_norm(a):
-    return a.norm
-
-
-def ideal_colon(a, k):
-    return a.colon(k)
-
-
-def factor_ideal(a):
-    return a.factor()
-
-
-def divisors(a):
-    return a.divisors()
-
-
-def residues(a, budget=RESIDUE_BUDGET):
-    return a.residues(budget)
+    def _power(self, e):
+        while len(self._powers) <= e:
+            self._powers.append(self._powers[-1] * self.prime)
+        return self._powers[e]
 
 
 def ord_p(a, p):
     """Largest e with p^e dividing a."""
     if not p.is_prime():
         raise NotPrime(f"{p!r} is not prime")
-    e = 0
-    power = p
-    while power.divides(a):
-        e += 1
-        power = power * p
-    return e
+    return PrimeValuator(p).ord_ideal(a)
 
 
 # -- integer factorization helpers --
@@ -521,10 +508,6 @@ def _is_prime_int(n):
         else:
             return False
     return True
-
-
-def _int_sqrt(n):
-    return math.isqrt(n)
 
 
 def _pollard_rho(n):
@@ -574,21 +557,60 @@ def _factor_int(n):
     return factors
 
 
+def _sqrt_mod(a, p):
+    """A square root of the quadratic residue a modulo the odd prime p.
+
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, 1.5.1).
+    """
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return x
+
+
+def _omega_roots(ring, p):
+    """Roots in [0, p) of w's minimal polynomial x^2 - t*x + n mod the prime p.
+
+    No root means p is inert, one that p ramifies, two that it splits.
+    """
+    t, n = ring.omega_trace, ring.omega_norm
+    if p == 2:
+        return [r for r in (0, 1) if (r * r - t * r + n) % 2 == 0]
+    disc = (t * t - 4 * n) % p
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s = _sqrt_mod(disc, p)
+    half = (p + 1) // 2  # the inverse of 2 mod p
+    return sorted({(t + s) * half % p, (t - s) * half % p})
+
+
 def _primes_above(ring, p):
     """The prime ideals of the ring above the rational prime p, sorted."""
     if ring.degree == 1:
         return [Ideal.principal(ring, (p,))]
-    t, n = ring.omega_trace, ring.omega_norm
-    roots = [r for r in range(p) if (r * r - t * r + n) % p == 0]
+    roots = _omega_roots(ring, p)
     if not roots:
         return [Ideal.principal(ring, ring.from_int(p))]
     primes = {Ideal.from_generators(ring, [ring.from_int(p), (-r, 1)])
               for r in roots}
     return sorted(primes, key=Ideal.sort_key)
-
-
-def primes_above(ring, p):
-    return _primes_above(ring, p)
 
 
 def ideals_of_norm_up_to(ring, bound):

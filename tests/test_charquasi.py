@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -232,6 +233,22 @@ def test_localize_h3():
     assert local2.constituents == q.constituents
     with pytest.raises(ZeroInMultiplicativeSet):
         cq.localize(h3, [(0, 0)], qp=q)
+
+
+def test_strip_primes(nonprincipal_arrangement):
+    rho = cq.lcm_period(nonprincipal_arrangement)
+    assert cq.strip_primes(rho, [(2, 0)]) == (Q5, (P5,))
+    assert cq.strip_primes(rho, [(1, 0)]) == (rho, ())
+    with pytest.raises(ZeroInMultiplicativeSet):
+        cq.strip_primes(rho, [(0, 0)])
+
+
+def test_large_inert_prime_period():
+    # splitting 10^9+7 (inert in Z[i]) must not scan its residues
+    start = time.monotonic()
+    q = cq.constituents(cq.Arrangement(ZI, [[(10 ** 9 + 7, 0)]]))
+    assert q.period == rg.Ideal.principal(ZI, (10 ** 9 + 7, 0))
+    assert time.monotonic() - start < 5
 
 
 def test_localize_nonprincipal(nonprincipal_arrangement):

@@ -80,9 +80,6 @@ def test_determinism(nonprincipal_file):
     rc1, t1 = run(["layers", nonprincipal_file])
     rc2, t2 = run(["layers", nonprincipal_file])
     assert rc1 == rc2 == 0 and t1 == t2
-    # the worker cap never changes output
-    rc3, t3 = run(["--threads", "4", "layers", nonprincipal_file])
-    assert rc3 == 0 and t3 == t2
 
 
 def test_layers_and_dot(nonprincipal_file, tmp_path):

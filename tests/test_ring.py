@@ -233,6 +233,40 @@ def test_ord_p_examples():
     assert rg.ord_p(PQ, P5) == 1
     with pytest.raises(NotPrime):
         rg.ord_p(PQ, PQ)
+    # <r> is prime exactly when r is inert: 3 is in Z[i], 5 splits
+    assert rg.ord_p(rg.Ideal.principal(ZI, (9, 0)),
+                    rg.Ideal.principal(ZI, (3, 0))) == 2
+    with pytest.raises(NotPrime):
+        rg.ord_p(PQ, rg.Ideal.principal(ZI, (5, 0)))
+
+
+def test_omega_roots_against_brute_scan():
+    for d in (-1, -5, 5, 2, -3, 13):
+        ring = rg.quadratic(d)
+        t, n = ring.omega_trace, ring.omega_norm
+        for p in range(2, 3000):
+            if not rg._is_prime_int(p):
+                continue
+            brute = [r for r in range(p) if (r * r - t * r + n) % p == 0]
+            assert rg._omega_roots(ring, p) == brute, (d, p)
+
+
+def test_valuation_against_prime_powers():
+    # inert, split and ramified primes all occur above 2, 3, 5, 7 here
+    rng = random.Random(21)
+    for ring in [Z, ZI, Z5, ZT]:
+        primes = [P for p in (2, 3, 5, 7) for P in rg._primes_above(ring, p)]
+        for P in primes:
+            val = rg.PrimeValuator(P)
+            for _ in range(25):
+                x = rand_element(rng, ring, 30)
+                scale = rng.choice((2, 3, 5, 7)) ** rng.randint(0, 3)
+                x = ring.mul(x, ring.from_int(scale))
+                e = 0
+                while P.pow(e + 1).contains(x):
+                    e += 1
+                assert val.ord_element(x) == e, (ring, P, x)
+                assert val.ord_ideal(rg.Ideal.principal(ring, x)) == e
 
 
 def test_ring_laws_random():
