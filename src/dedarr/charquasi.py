@@ -258,37 +258,33 @@ def _accumulate_ideal(ring, ideal, values):
     return ideal
 
 
-def lcm_period(A, rank_buckets=None):
+def lcm_period(A):
     """The lcm of the last invariant factors, over independent subsets.
 
     Dropping columns of a dependent subset at equal rank only grows the
     last invariant factor, so independent subsets already realize the lcm;
     this keeps the walk inside the size bound min(ell, n).
 
-    When ``rank_buckets`` is a dict it collects, per subset size k, the lcm
-    of the factors coming from independent subsets of that size.
+    A subset of ell columns has a principal top ideal E_ell = (g), g its
+    one maximal minor, so its last factor d = (g) * E_(ell-1)^(-1)
+    contains (g).  When g divides the lcm found so far, d does too and
+    the subset's smaller minors and ideals are never formed.
     """
     ring = A.ring
     unit = Ideal.unit(ring)
     if A.n == 0:
         return unit
     sweep = _MinorSweep(A)
+    ell = A.ell
     acc = [unit]
-    bound = min(A.ell, A.n)
+    bound = min(ell, A.n)
 
-    def note(k, e_top, e_prev):
+    def note(e_top, e_prev):
         # d = E_k * E_{k-1}^(-1); update acc[0] = lcm(acc[0], d)
-        if e_top.is_unit_ideal():
-            return
-        if rank_buckets is None and e_top.contains_ideal(acc[0] * e_prev):
+        if e_top.is_unit_ideal() or e_top.contains_ideal(acc[0] * e_prev):
             return  # d already divides the accumulated lcm
         d = (e_top * e_prev.inverse()).to_integral()
-        if not d.contains_ideal(acc[0]):
-            acc[0] = acc[0].intersect(d)
-        if rank_buckets is not None:
-            old = rank_buckets.get(k, unit)
-            rank_buckets[k] = old if d.contains_ideal(old) \
-                else old.intersect(d)
+        acc[0] = acc[0].intersect(d)
 
     def walk(cols, e_top_parent, start):
         # e_top_parent is E_k of the current independent subset; children
@@ -296,9 +292,23 @@ def lcm_period(A, rank_buckets=None):
         # without descendants skip the smaller minors entirely
         k = len(cols)
         recurse = k + 1 < bound
+        principal = k + 1 == ell
         sizes = range(2, k + 2) if recurse else (k, k + 1)
         for j in range(start, A.n):
-            added, new_by_size = sweep.push_column(cols, j, sizes)
+            if principal:
+                added, new_by_size = sweep.push_column(cols, j, (ell,))
+                g = new_by_size[ell][0]
+                if ring.is_zero(g) or all(ring.divides(g, x)
+                                          for x in acc[0].hnf):
+                    # dependent, or d contains (g), which contains the lcm
+                    sweep.pop(added)
+                    continue
+                if k:
+                    more, smaller = sweep.push_column(cols, j, (k,))
+                    added += more
+                    new_by_size[k] = smaller[k]
+            else:
+                added, new_by_size = sweep.push_column(cols, j, sizes)
             top_vals = new_by_size[k + 1]
             if any(not ring.is_zero(v) for v in top_vals):
                 e_top = _accumulate_ideal(ring, None, top_vals)
@@ -307,7 +317,7 @@ def lcm_period(A, rank_buckets=None):
                                                new_by_size[k])
                 else:
                     e_prev = unit
-                note(k + 1, e_top, e_prev)
+                note(e_top, e_prev)
                 if recurse:
                     walk(cols + (j,), e_top, j + 1)
             sweep.pop(added)

@@ -118,14 +118,28 @@ def cmd_layers(args, out):
     return EXIT_OK
 
 
+def _default_verify_bound(ring, ell):
+    """The largest norm bound whose ideals' grids fit the oracle budget.
+
+    A grid at the ideal a holds N(a)^ell points; the bound admits ideals
+    by increasing norm while the total stays within the budget.
+    """
+    cap = 2
+    while True:
+        total = 0
+        for a in ideals_of_norm_up_to(ring, cap):
+            total += a.norm ** ell
+            if total > oracle.DEFAULT_BUDGET:
+                return a.norm - 1
+        cap *= 2
+
+
 def cmd_verify(args, out):
     A = _load_arrangement(args.file)
     q = cq.constituents(A)
     bound = args.max_norm
     if bound is None:
-        bound = 1
-        while (bound + 1) ** A.ell <= 10 ** 6:
-            bound += 1
+        bound = _default_verify_bound(A.ring, A.ell)
     failures = 0
     checked = 0
     for a in ideals_of_norm_up_to(A.ring, bound):

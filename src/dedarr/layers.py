@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from . import zlinalg as zl
-from .errors import ExponentTooLarge
+from .errors import CertificateFailure, ExponentTooLarge
 from .quasipoly import QuasiPolynomial
 from .ring import Ideal, format_factored
 
@@ -228,10 +228,15 @@ class Layer:
 
 
 class _Refinement:
-    """Solver data for intersecting layers of one flat with one subgroup."""
+    """Solver data for intersecting layers of one flat with one subgroup.
+
+    The invariant factors of M = lam_basis * colmat come from gcds of its
+    entries and 2x2 minors; the Smith transforms U, V are computed only
+    when coset representatives or a nonzero layer need them.
+    """
 
     __slots__ = ("child", "lam_child", "pivots_child", "basis", "colmat",
-                 "V", "U", "diag", "steps", "reps", "m")
+                 "M", "V", "U", "diag", "steps", "reps", "m")
 
     def __init__(self, lam_basis, lam_child, pivots_child, colmat, m, child):
         D = len(lam_basis)
@@ -242,11 +247,9 @@ class _Refinement:
         self.basis = lam_basis
         self.colmat = colmat
         self.m = m
-        M = zl.mat_mul(lam_basis, colmat)
-        diag, U, V, _ = zl.snf_transforms(M)
-        self.U = U
-        self.V = V
-        self.diag = [diag[i] if i < len(diag) else 0 for i in range(deg)]
+        self.M = zl.mat_mul(lam_basis, colmat)
+        self.U = self.V = None
+        self.diag = zl.small_snf_diagonal(self.M)
         self.steps = [m // math.gcd(d, m) for d in self.diag]
         # the homogeneous solutions form a lattice between the child
         # lattice and the parent one; its index in the child lattice is
@@ -262,6 +265,7 @@ class _Refinement:
         if det_parent == det_child:
             self.reps = [[0] * D]
         else:
+            U, _ = self._transforms()
             hom = []
             for i in range(D):
                 if i < deg:
@@ -274,6 +278,17 @@ class _Refinement:
             self.reps = zl.coset_reps([list(r) for r in lam_child],
                                       sol_basis)
 
+    def _transforms(self):
+        """(U, V) of the Smith form of M, checked against the gcd diagonal."""
+        if self.U is None:
+            diag, U, V, _ = zl.snf_transforms(self.M)
+            diag = diag + [0] * (len(self.diag) - len(diag))
+            if diag != self.diag:
+                raise CertificateFailure(
+                    "Smith form disagrees with the gcd invariant factors")
+            self.U, self.V = U, V
+        return self.U, self.V
+
     def solve(self, y):
         """Components of (layer y + parent lattice) meeting the subgroup.
 
@@ -282,6 +297,7 @@ class _Refinement:
         m = self.m
         deg = len(self.colmat[0])
         if any(y):
+            U, V = self._transforms()
             t = [0] * deg
             for i, yi in enumerate(y):
                 if yi:
@@ -292,7 +308,7 @@ class _Refinement:
             for i in range(deg):
                 ti = t[i] % m
                 if ti:
-                    row = self.V[i]
+                    row = V[i]
                     for s in range(deg):
                         rhs[s] += ti * row[s]
             s_part = [0] * len(y)
@@ -315,7 +331,7 @@ class _Refinement:
                 for i in range(deg):
                     si = s_part[i]
                     if si:
-                        urow = self.U[i]
+                        urow = U[i]
                         for t2 in range(len(y)):
                             u = urow[t2]
                             if u:
@@ -586,7 +602,6 @@ def layer_poset(A, period=None, mobius="auto", budget=LAYER_BUDGET):
     zero = (0,) * D
     add_layer(0, zero)
     by_flat = {0: [zero]}
-    refinements = {}
     for codim in range(A.ell):
         level_flats = [f for f in lattice.flats if f.codim == codim]
         next_by_flat = {}
@@ -594,18 +609,16 @@ def layer_poset(A, period=None, mobius="auto", budget=LAYER_BUDGET):
             ys = by_flat.get(flat.id)
             if not ys:
                 continue
+            lam_basis, _ = poset.lam(flat.id)
             for j in range(A.n):
                 if j in flat.J:
                     continue
+                # each flat sits in one codim level, so every (flat, j)
+                # refinement is built and used exactly once
                 child = lattice.child[(flat.id, j)]
-                rkey = (flat.id, j)
-                if rkey not in refinements:
-                    lam_basis, _ = poset.lam(flat.id)
-                    lam_child, pivots_child = poset.lam(child)
-                    refinements[rkey] = _Refinement(
-                        lam_basis, lam_child, pivots_child,
-                        lattice.colmats[j], m, child)
-                refine = refinements[rkey]
+                lam_child, pivots_child = poset.lam(child)
+                refine = _Refinement(lam_basis, lam_child, pivots_child,
+                                     lattice.colmats[j], m, child)
                 for y in ys:
                     for y_new in refine.solve(list(y)):
                         z = add_layer(child, y_new)

@@ -2,8 +2,11 @@
 
 Enumerates the full residue grid (streamed in chunks) and counts points
 off every reduced hyperplane, or in the kernel of a coefficient matrix.
-Everything is int64 numpy; coordinate values stay far below overflow for
-any norm the budget admits.
+Everything is int64 numpy.  The coefficients are first reduced modulo
+the least integer m in the ideal a; m*O lies in a, so the counts do not
+change, and every value the products and membership tests reach stays
+below (ell*(1 + |t| + |n|) + 1)*m^2, where w^2 = t*w - n.  An ideal for
+which that could reach 2^63 raises BudgetExceeded instead of wrapping.
 """
 
 import time
@@ -27,11 +30,16 @@ class CountReport:
 
 
 def _residue_arrays(a):
-    """Residue representatives as one int64 array per coordinate of O."""
-    ring = a.ring
-    reps = a.residues()
-    arr = np.array(reps, dtype=np.int64)
-    return [arr[:, i] for i in range(ring.degree)]
+    """Residue representatives as one int64 array per coordinate of O.
+
+    The canonical system of ``Ideal.residues``, (u, v) for u below the
+    first HNF pivot and v below the second, built in numpy.
+    """
+    r = np.arange(a.hnf[0][0], dtype=np.int64)
+    if a.ring.degree == 1:
+        return [r]
+    c = np.arange(a.hnf[1][1], dtype=np.int64)
+    return [np.repeat(r, len(c)), np.tile(c, len(r))]
 
 
 def _membership_mask(ring, a, coords):
@@ -41,6 +49,7 @@ def _membership_mask(ring, a, coords):
     h = a.hnf
     u, v = coords
     q = u // h[0][0]
+    q %= h[1][1]  # keeps q * h[0][1] below m^2
     return (u % h[0][0] == 0) & ((v - q * h[0][1]) % h[1][1] == 0)
 
 
@@ -52,6 +61,20 @@ def _mul_arrays(ring, x, col):
     e, f = col
     t, n = ring.omega_trace, ring.omega_norm
     return (a * e - n * (b * f), a * f + b * e + t * (b * f))
+
+
+def _reduction_modulus(ring, a, ell):
+    """The least integer m of a, once int64 is known to hold the counts."""
+    m = a.least_integer()
+    t, n = ring.omega_trace, ring.omega_norm
+    if (ell * (1 + abs(t) + abs(n)) + 1) * m * m >= 2 ** 63:
+        raise BudgetExceeded(
+            f"entries modulo {m} could overflow int64 at ell = {ell}")
+    return m
+
+
+def _reduce(x, m):
+    return tuple(c % m for c in x)
 
 
 def _grid_chunks(a, ell, budget):
@@ -76,10 +99,12 @@ def _grid_chunks(a, ell, budget):
 def brute_count_complement(arrangement, a, budget=DEFAULT_BUDGET):
     """Number of residue vectors avoiding every hyperplane of the arrangement."""
     ring = arrangement.ring
+    m = _reduction_modulus(ring, a, arrangement.ell)
+    columns = [[_reduce(x, m) for x in col] for col in arrangement.columns]
     count = 0
     for coords in _grid_chunks(a, arrangement.ell, budget):
         alive = np.ones(len(coords[0][0]), dtype=bool)
-        for col in arrangement.columns:
+        for col in columns:
             acc = None
             for i in range(arrangement.ell):
                 term = _mul_arrays(ring, coords[i], col[i])
@@ -95,13 +120,15 @@ def brute_count_complement(arrangement, a, budget=DEFAULT_BUDGET):
 def brute_count_kernel(C, a, budget=DEFAULT_BUDGET):
     """Number of residue vectors x with x*C = 0 modulo the ideal."""
     ring = C.ring
+    m = _reduction_modulus(ring, a, C.nrows)
+    rows = [[_reduce(x, m) for x in row] for row in C.rows]
     count = 0
     for coords in _grid_chunks(a, C.nrows, budget):
         alive = np.ones(len(coords[0][0]), dtype=bool)
         for j in range(C.ncols):
             acc = None
             for i in range(C.nrows):
-                term = _mul_arrays(ring, coords[i], C.rows[i][j])
+                term = _mul_arrays(ring, coords[i], rows[i][j])
                 acc = term if acc is None else tuple(
                     x + y for x, y in zip(acc, term))
             alive &= _membership_mask(ring, a, acc)

@@ -116,6 +116,14 @@ class Ring:
     def is_zero(self, x):
         return not any(x)
 
+    def divides(self, g, x):
+        """Whether the nonzero element g divides x in the ring."""
+        if self.degree == 1:
+            return x[0] % g[0] == 0
+        # x/g = x*conj(g)/N(g), and N(g) may be negative over a real order
+        ng = self.norm(g)
+        return all(c % ng == 0 for c in self.mul(x, self.conj(g)))
+
     def mul_rows(self, x):
         """Rows of the multiplication-by-x map on Z^degree coordinates."""
         if self.degree == 1:
@@ -621,17 +629,18 @@ def ideals_of_norm_up_to(ring, bound):
             for prime in _primes_above(ring, p):
                 if prime.norm <= bound:
                     primes.append(prime)
-    result = [Ideal.unit(ring)]
-    for prime in primes:
-        extra = []
-        for ideal in result:
-            power = ideal
-            while True:
-                power = power * prime
-                if power.norm > bound:
-                    break
-                extra.append(power)
-        result.extend(extra)
+    primes.sort(key=Ideal.sort_key)
+    result = []
+
+    def extend(ideal, start):
+        # each ideal is one non-decreasing sequence of prime indices
+        result.append(ideal)
+        for i in range(start, len(primes)):
+            if ideal.norm * primes[i].norm > bound:
+                break
+            extend(ideal * primes[i], i)
+
+    extend(Ideal.unit(ring), 0)
     return sorted(result, key=Ideal.sort_key)
 
 

@@ -5,6 +5,7 @@ arbitrary precision.  Row convention throughout: a lattice is the set of
 integer combinations of the rows of its basis matrix.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -333,6 +334,33 @@ def snf_diagonal(rows):
     if not rows:
         return []
     return _snf_work(rows, False)[0]
+
+
+def small_snf_diagonal(rows):
+    """Invariant factors of a matrix with one or two columns, from gcds.
+
+    d_1 is the gcd of the entries and d_1*d_2 the gcd of the 2x2 minors,
+    so no transforms are formed.  Zeros pad the result to one entry per
+    column, past the rank.
+    """
+    ncols = len(rows[0])
+    if ncols > 2:
+        raise ValueError("expected at most two columns")
+    d1 = 0
+    for row in rows:
+        for x in row:
+            d1 = math.gcd(d1, x)
+    if ncols == 1 or d1 == 0:
+        return [d1] + [0] * (ncols - 1)
+    # the minors' gcd is a multiple of d1^2, so stop once it gets there
+    floor = d1 * d1
+    minors = 0
+    for i, (a, b) in enumerate(rows):
+        for c, e in rows[i + 1:]:
+            minors = math.gcd(minors, a * e - b * c)
+            if minors == floor:
+                return [d1, d1]
+    return [d1, minors // d1]
 
 
 def snf_transforms(rows):

@@ -74,19 +74,48 @@ def test_lcm_period_examples(gaussian_arrangement, nonprincipal_arrangement):
     assert cq.lcm_period(h3) == rg.Ideal.principal(ZT, (2, 0))
 
 
+def full_range_lcm(A):
+    full = rg.Ideal.unit(A.ring)
+    for inv in cq.subset_data(A).values():
+        last = inv.last_factor()
+        if last is not None and not last.contains_ideal(full):
+            full = full.intersect(last)
+    return full
+
+
+def rand_columns(rng, ring, ell, n, bound=3):
+    cols = []
+    while len(cols) < n:
+        col = tuple(
+            tuple(rng.randint(-bound, bound) for _ in range(ring.degree))
+            for _ in range(ell))
+        if any(any(x) for x in col):
+            cols.append(col)
+    return cols
+
+
 def test_lcm_period_equals_full_range_lcm():
     # against the definition: lcm over every J in the size bound
     rng = random.Random(51)
     for ring in (Z, ZI, Z5, ZT):
         for _ in range(15):
             A = rand_small_arrangement(rng, ring, ell_max=3, n_max=4)
-            rho = cq.lcm_period(A)
-            full = rg.Ideal.unit(ring)
-            for inv in cq.subset_data(A).values():
-                last = inv.last_factor()
-                if last is not None and not last.contains_ideal(full):
-                    full = full.intersect(last)
-            assert rho == full, A.columns
+            assert cq.lcm_period(A) == full_range_lcm(A), A.columns
+        # every subset of ell columns is a principal leaf: ell = n = 4,
+        # and ell = 1, where the leaves are the single columns
+        for ell, n in ((4, 4), (4, 4), (1, 1), (1, 3), (1, 5)):
+            A = cq.Arrangement(ring, rand_columns(rng, ring, ell, n))
+            assert cq.lcm_period(A) == full_range_lcm(A), A.columns
+    # {1, 2} is a principal leaf whose minor 3 does not divide the lcm
+    # <2> of {0, 1}, so the full route must add the prime 3
+    A = cq.Arrangement(Z, [[(2,), (0,)], [(0,), (1,)], [(3,), (0,)]])
+    assert cq.lcm_period(A) == full_range_lcm(A) == \
+        rg.Ideal.principal(Z, (6,))
+    # the leaf minor 4 does not divide <2>, yet with E_1 = <2> the last
+    # factor is 4/2 = 2, which does: the lcm stays <2>
+    A = cq.Arrangement(Z, [[(2,), (0,)], [(0,), (1,)], [(2,), (2,)]])
+    assert cq.lcm_period(A) == full_range_lcm(A) == \
+        rg.Ideal.principal(Z, (2,))
 
 
 def test_constituents_gaussian(gaussian_arrangement):

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -101,6 +102,21 @@ def test_verify(gaussian_file):
     rc, text = run(["verify", gaussian_file, "--max-norm", "9"])
     assert rc == 0
     assert "0 mismatches" in text
+
+
+def test_verify_default_bound_finishes(tmp_path):
+    # ell = 1: the bound follows the oracle budget, sum N(a) <= 10^7
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"ring": {"type": "quadratic", "d": -1},
+                                "columns": [[[3, 0]]]}))
+    start = time.monotonic()
+    rc, text = run(["verify", str(path)])
+    assert rc == 0
+    assert time.monotonic() - start < 30
+    assert text.endswith(" 0 mismatches\n")
+    norms = [int(line.split()[0][2:]) for line in text.splitlines()[:-1]]
+    assert sum(n for n in norms) <= 10 ** 7
+    assert 3000 < len(norms) and max(norms) > 4000
 
 
 def test_minimality(nonprincipal_file):

@@ -290,3 +290,18 @@ def test_localized_poset_partial_strip(nonprincipal_arrangement):
     got = sorted((z.dim, z.mu, z.tau.hnf) for z in local.layers)
     assert expect == got
     assert len(local.layers) == 4  # ambient, identity, two norm-3 layers
+
+
+def test_refinement_checks_gcd_diagonal(gaussian_arrangement, monkeypatch):
+    # the Smith form that runs for the nonzero layers must confirm the
+    # invariant factors read off gcds; a planted wrong one is caught
+    from dedarr.errors import CertificateFailure
+    right = ly.zl.small_snf_diagonal
+
+    def wrong(rows):
+        diag = right(rows)
+        return diag[:-1] + [7 * diag[-1]]
+
+    monkeypatch.setattr(ly.zl, "small_snf_diagonal", wrong)
+    with pytest.raises(CertificateFailure):
+        ly.layer_poset(gaussian_arrangement)

@@ -56,6 +56,41 @@ def test_budget_exceeded():
         oracle.brute_count_complement(h2, big, budget=10 ** 4)
 
 
+def test_large_entries_are_exact():
+    # 2^62 + 1 = 0 mod 5, so every point lies on the first hyperplane;
+    # int64 products of the unreduced entry used to wrap and count 3
+    five = rg.Ideal.principal(Z, (5,))
+    A = cq.Arrangement(Z, [[(2 ** 62 + 1,)], [(1,)]])
+    assert oracle.brute_count_complement(A, five) == 0
+    assert cq.constituents(A).evaluate(five) == 0
+    C = ms.CoeffMatrix(Z, [[(2 ** 62 + 1,), (2 ** 62 + 2,)]])
+    assert oracle.brute_count_kernel(C, five) == 1
+    # entries far past int64 over a quadratic order; the first two
+    # columns have determinant -1 and the period is <3>
+    M = (3 ** 80, 7 ** 30)
+    one = (1, 0)
+    M1 = ZI.add(M, one)
+    B = cq.Arrangement(ZI, [[M, M1], [M1, ZI.add(M1, one)], [one, one],
+                            [(3, 0), (3, 0)]])
+    q = cq.constituents(B)
+    assert q.period == rg.Ideal.principal(ZI, (3, 0))
+    for a in rg.ideals_of_norm_up_to(ZI, 25):
+        assert oracle.brute_count_complement(B, a) == q.evaluate(a), a
+
+
+def test_int64_room_is_a_budget():
+    # over Z at ell = 1 the values reach 2*m^2, so m = 2^31 is the first
+    # least integer without room; it is refused before any grid is built
+    ok = rg.Ideal.principal(Z, (2 ** 31 - 1,))
+    assert oracle._reduction_modulus(Z, ok, 1) == 2 ** 31 - 1
+    big = rg.Ideal.principal(Z, (2 ** 31,))
+    with pytest.raises(BudgetExceeded, match="int64"):
+        oracle._reduction_modulus(Z, big, 1)
+    A = cq.Arrangement(Z, [[(1,)]])
+    with pytest.raises(BudgetExceeded, match="int64"):
+        oracle.brute_count_complement(A, big)
+
+
 def test_inclusion_exclusion_sanity():
     rng = random.Random(41)
     for ring in (Z, ZI, Z5, ZT):

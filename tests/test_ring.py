@@ -324,6 +324,46 @@ def test_least_integer():
                 assert not a.contains(ring.from_int(k))
 
 
+def test_divides_matches_principal_membership():
+    rng = random.Random(61)
+    for ring in (Z, ZI, Z5, ZT):
+        for _ in range(300):
+            g = rand_element(rng, ring, 4)
+            x = rand_element(rng, ring, 6)
+            # multiples of g must be recognised, not only random pairs
+            xs = [x, ring.mul(g, x)]
+            for y in xs:
+                assert ring.divides(g, y) == \
+                    rg.Ideal.principal(ring, g).contains(y), (ring, g, y)
+    # over Z[tau] the norm of g can be negative
+    for g in [(0, 1), (1, 3), (2, -3), (-1, 2)]:
+        assert ZT.norm(g) < 0
+        for x in [(5, 0), (1, 1), (3, -2), ZT.mul(g, (2, 7))]:
+            assert ZT.divides(g, x) == \
+                rg.Ideal.principal(ZT, g).contains(x), (g, x)
+    # over Z the quadratic formula would accept everything
+    assert not Z.divides((3,), (4,)) and Z.divides((-3,), (12,))
+
+
+def test_ideals_of_norm_up_to_matches_all_ideals():
+    # against the definition: an ideal holding the integer m is <m, b+cw>
+    # for some b, c modulo m, so these generators reach every ideal
+    for ring in (ZI, Z5, ZT):
+        bound = 30
+        got = rg.ideals_of_norm_up_to(ring, bound)
+        assert len(set(got)) == len(got)
+        assert [a.sort_key() for a in got] == \
+            sorted(a.sort_key() for a in got)
+        seen = set()
+        for m in range(1, bound + 1):
+            for b in range(m):
+                for c in range(m):
+                    a = rg.Ideal.from_generators(ring, [(m, 0), (b, c)])
+                    if a.norm <= bound:
+                        seen.add(a)
+        assert set(got) == seen
+
+
 def test_ideals_of_norm_up_to():
     ids = rg.ideals_of_norm_up_to(Z, 12)
     assert [i.norm for i in ids] == list(range(1, 13))

@@ -86,6 +86,30 @@ def test_snf_diagonal_invariants():
         assert len(diag) == zl.rank(a)
 
 
+def test_small_snf_diagonal_matches_snf():
+    rng = random.Random(8)
+    cases = []
+    for D in (1, 2, 4, 8):
+        for ncols in (1, 2):
+            cases.append([[0] * ncols for _ in range(D)])
+            for _ in range(40):
+                cases.append(rand_matrix(rng, D, ncols))
+                # rank deficient: the second column a multiple of the first
+                col = [rng.randint(-6, 6) for _ in range(D)]
+                k = rng.randint(-3, 3)
+                cases.append([[x, k * x] for x in col] if ncols == 2
+                             else [[x] for x in col])
+                # a common factor in every entry
+                f = rng.randint(2, 5)
+                cases.append([[f * x for x in row]
+                              for row in rand_matrix(rng, D, ncols)])
+    for a in cases:
+        diag = zl.snf_diagonal(a)
+        ncols = len(a[0])
+        assert zl.small_snf_diagonal(a) == \
+            diag + [0] * (ncols - len(diag)), a
+
+
 def test_snf_transforms_product():
     rng = random.Random(5)
     for _ in range(150):
