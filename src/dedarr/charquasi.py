@@ -246,83 +246,124 @@ class _MinorSweep:
             del self.minors[key]
 
 
-def _accumulate_ideal(ring, ideal, values):
-    """Ideal sum of `ideal` (possibly None) with the nonzero `values`."""
-    for g in values:
-        if ring.is_zero(g):
-            continue
-        if ideal is None:
-            ideal = Ideal.from_generators(ring, [g])
-        elif not (ideal.is_unit_ideal() or ideal.contains(g)):
-            ideal = ideal + Ideal.from_generators(ring, [g])
-    return ideal
-
-
 def lcm_period(A):
-    """The lcm of the last invariant factors, over independent subsets.
+    """The lcm of the last invariant factors d(J), over the bases of A.
 
-    Dropping columns of a dependent subset at equal rank only grows the
-    last invariant factor, so independent subsets already realize the lcm;
-    this keeps the walk inside the size bound min(ell, n).
+    For independent J and J + {j}, dropping coordinate j maps
+    coker(J + {j}) onto coker(J); both cokernels are torsion, so
+    d(J) | d(J + {j}).  Every independent subset extends to a basis, an
+    independent subset of size r = rank A, so the lcm over bases equals the
+    lcm over all independent subsets.  Dropping columns of a dependent
+    subset at equal rank only grows the last invariant factor, so that is
+    also the lcm over every subset.  The walk therefore goes to depth r
+    only: inner nodes push minors and recurse while the subset stays
+    independent, and only the bases form ideals.
 
-    A subset of ell columns has a principal top ideal E_ell = (g), g its
-    one maximal minor, so its last factor d = (g) * E_(ell-1)^(-1)
-    contains (g).  When g divides the lcm found so far, d does too and
-    the subset's smaller minors and ideals are never formed.
+    When r = ell a basis has a principal top ideal E_ell = (g), g its one
+    maximal minor: the dot product of the new column with the cofactor
+    vector of the others.  Its last factor d = (g) * E_(ell-1)^(-1)
+    contains (g), so when g divides the lcm found so far, d does too and
+    the basis's smaller minors and ideals are never formed.
     """
     ring = A.ring
     unit = Ideal.unit(ring)
     if A.n == 0:
         return unit
     sweep = _MinorSweep(A)
+    minors = sweep.minors
     ell = A.ell
+    r = ms.rank_over_K(A.coeff_matrix(range(A.n)))
+    quadratic = ring.degree == 2
+    wt, wn = ring.omega_trace, ring.omega_norm
     acc = [unit]
-    bound = min(ell, A.n)
 
-    def note(e_top, e_prev):
-        # d = E_k * E_{k-1}^(-1); update acc[0] = lcm(acc[0], d)
+    def note(e_top, smaller):
+        # d = E_r * E_(r-1)^(-1); update acc[0] = lcm(acc[0], d)
+        e_prev = Ideal.from_generators(ring, smaller) if smaller else unit
         if e_top.is_unit_ideal() or e_top.contains_ideal(acc[0] * e_prev):
             return  # d already divides the accumulated lcm
         d = (e_top * e_prev.inverse()).to_integral()
         acc[0] = acc[0].intersect(d)
 
-    def walk(cols, e_top_parent, start):
-        # e_top_parent is E_k of the current independent subset; children
-        # only ever consume the two top determinantal ideals, and nodes
-        # without descendants skip the smaller minors entirely
-        k = len(cols)
-        recurse = k + 1 < bound
-        principal = k + 1 == ell
-        sizes = range(2, k + 2) if recurse else (k, k + 1)
+    def complete(cols):
+        # the level above pushed only the (r-1)-minors of cols; a basis's
+        # E_(r-1) also needs the (r-2)-minors with the last column of cols
+        if r > 3:
+            return sweep.push_column(cols[:-1], cols[-1], (r - 2,))[0]
+        return []
+
+    def principal_leaves(cols, start):
+        # cols has ell - 1 columns; each j completes a square matrix
+        k = ell - 1
+        if k:
+            cof = []
+            for t in range(ell):
+                v = minors[(tuple(i for i in range(ell) if i != t), cols)]
+                cof.append(v if (t + ell) % 2 else tuple(-c for c in v))
+        else:
+            cof = [ring.one]
+        restored = None
         for j in range(start, A.n):
-            if principal:
-                added, new_by_size = sweep.push_column(cols, j, (ell,))
-                g = new_by_size[ell][0]
-                if ring.is_zero(g) or all(ring.divides(g, x)
-                                          for x in acc[0].hnf):
-                    # dependent, or d contains (g), which contains the lcm
-                    sweep.pop(added)
-                    continue
-                if k:
-                    more, smaller = sweep.push_column(cols, j, (k,))
-                    added += more
-                    new_by_size[k] = smaller[k]
+            column = A.columns[j]
+            if quadratic:
+                g0 = g1 = 0
+                for (a, b), (e, f) in zip(column, cof):
+                    bf = b * f
+                    g0 += a * e - wn * bf
+                    g1 += a * f + b * e + wt * bf
+                g = (g0, g1)
+                norm = g0 * g0 + wt * g0 * g1 + wn * g1 * g1
             else:
-                added, new_by_size = sweep.push_column(cols, j, sizes)
-            top_vals = new_by_size[k + 1]
-            if any(not ring.is_zero(v) for v in top_vals):
-                e_top = _accumulate_ideal(ring, None, top_vals)
-                if k >= 1:
-                    e_prev = _accumulate_ideal(ring, e_top_parent,
-                                               new_by_size[k])
-                else:
-                    e_prev = unit
-                note(e_top, e_prev)
-                if recurse:
-                    walk(cols + (j,), e_top, j + 1)
+                norm = sum(x[0] * c[0] for x, c in zip(column, cof))
+                g = (norm,)
+            if norm in (0, 1, -1) or ring.divides(g, *acc[0].hnf):
+                # g = 0: dependent; else d contains (g), which is the unit
+                # ideal or contains the lcm
+                continue
+            smaller = []
+            if k:
+                if restored is None:
+                    restored = complete(cols)
+                added, new_by_size = sweep.push_column(cols, j, (k,))
+                smaller = [v for v in cof + new_by_size[k] if any(v)]
+                sweep.pop(added)
+            note(Ideal.principal(ring, g), smaller)
+        if restored:
+            sweep.pop(restored)
+
+    def leaves(cols, start):
+        # a basis of r < ell columns: E_r and E_(r-1) from all its minors
+        k = r - 1
+        old = [minors[(rows, cols)]
+               for rows in combinations(range(ell), k)] if k else []
+        restored = complete(cols)
+        for j in range(start, A.n):
+            added, new_by_size = sweep.push_column(cols, j, (k, k + 1))
+            top = [v for v in new_by_size[k + 1] if any(v)]
+            if top:
+                smaller = [v for v in old + new_by_size.get(k, [])
+                           if any(v)]
+                note(Ideal.from_generators(ring, top), smaller)
+            sweep.pop(added)
+        sweep.pop(restored)
+
+    def walk(cols, start):
+        k = len(cols)
+        if k + 1 == r:
+            if r == ell:
+                principal_leaves(cols, start)
+            else:
+                leaves(cols, start)
+            return
+        # a child one short of a basis needs only its top minors
+        sizes = (k + 1,) if k + 2 == r else range(2, k + 2)
+        for j in range(start, A.n):
+            added, new_by_size = sweep.push_column(cols, j, sizes)
+            if any(any(v) for v in new_by_size[k + 1]):
+                walk(cols + (j,), j + 1)
             sweep.pop(added)
 
-    walk((), unit, 0)
+    walk((), 0)
     return acc[0]
 
 

@@ -28,8 +28,7 @@ LAYER_BUDGET = 5 * 10 ** 6
 class Flat:
     """An intersection subspace of the hyperplane arrangement."""
 
-    __slots__ = ("id", "lat", "pivots", "J", "Jbits", "dim", "codim",
-                 "below", "above")
+    __slots__ = ("id", "lat", "pivots", "J", "Jbits", "dim", "codim")
 
     def __init__(self, fid, lat, pivots, J, Jbits, dim, codim):
         self.id = fid
@@ -39,41 +38,48 @@ class Flat:
         self.Jbits = Jbits
         self.dim = dim          # dimension over the fraction field
         self.codim = codim
-        self.below = []         # flats covered by X (one dimension up)
-        self.above = []         # flats covering X (one dimension down)
 
     def __repr__(self):
         return f"Flat(id={self.id}, dim={self.dim}, J={sorted(self.J)})"
 
 
 class FlatLattice:
-    """The intersection lattice of the arrangement over the fraction field."""
+    """The intersection lattice of the arrangement over the fraction field.
+
+    Flats are found level by level, each level's flats in the order of
+    their lattice keys.  A new flat Y = X cap H_j also equals X' cap H_i
+    for every flat X' of the same level with J(X') in J(Y) and every i in
+    J(Y) - J(X'): Y lies in X' cap H_i, and both have dimension
+    dim X' - 1, since every flat is the intersection of its own
+    hyperplanes.  Those pairs are registered at once, so a kernel is
+    computed only for the pair that finds a flat.
+    """
 
     def __init__(self, arrangement):
         A = arrangement
-        ring = A.ring
-        deg = ring.degree
+        deg = A.ring.degree
         D = deg * A.ell
         self.arrangement = A
         self.D = D
         self.colmats = [A.column_restriction(j) for j in range(A.n)]
+        # C = [colmat_0 | colmat_1 | ...]: x*C lists x times every column
+        self.C = [[x for cm in self.colmats for x in cm[i]]
+                  for i in range(D)]
         self.flats = []
         self._by_key = {}
         self.child = {}  # (flat id, hyperplane j) -> flat id of intersection
 
-        ambient = zl.identity(D)
-        self._add_flat(ambient, list(range(D)))
-        frontier = [0]
-        while frontier:
+        self._add_flat(zl.identity(D), list(range(D)))
+        level = [0]
+        while level:
             new_ids = []
-            for fid in sorted(frontier,
-                              key=lambda i: self.flats[i].lat):
+            for fid in sorted(level, key=lambda i: self.flats[i].lat):
                 flat = self.flats[fid]
                 if flat.dim == 0:
                     continue
                 base = [list(r) for r in flat.lat]
                 for j in range(A.n):
-                    if j in flat.J:
+                    if j in flat.J or (fid, j) in self.child:
                         continue
                     # cut the flat by hyperplane j inside the flat's own
                     # coordinates: the saturation carries over because the
@@ -81,61 +87,70 @@ class FlatLattice:
                     small = zl.left_kernel(zl.mat_mul(base, self.colmats[j]))
                     inter = zl.mat_mul(small, base) if small else []
                     basis, pivots = zl.hnf(inter)
-                    key = tuple(tuple(r) for r in basis)
-                    got = self._by_key.get(key)
-                    if got is None:
-                        got = self._add_flat(basis, pivots)
-                        new_ids.append(got)
-                    self.child[(fid, j)] = got
-            frontier = new_ids
-        self._fill_covers()
+                    if tuple(tuple(r) for r in basis) in self._by_key:
+                        raise CertificateFailure(
+                            f"flat {fid} cut by hyperplane {j} is a known "
+                            "flat that no earlier cut registered")
+                    got = self._add_flat(basis, pivots)
+                    new_ids.append(got)
+                    self._register(level, self.flats[got])
+            level = new_ids
         self.mobius = self._fill_mobius()
+
+    def _register(self, level, flat):
+        """Record flat as X cap H_i for every X of the level inside it."""
+        child = self.child
+        bits = flat.Jbits
+        for xid in level:
+            x_bits = self.flats[xid].Jbits
+            if x_bits & bits == x_bits:
+                rest = bits ^ x_bits
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    child[(xid, low.bit_length() - 1)] = flat.id
 
     def _add_flat(self, basis, pivots):
         A = self.arrangement
         deg = A.ring.degree
         key = tuple(tuple(r) for r in basis)
-        J = set()
-        for j in range(A.n):
-            cm = self.colmats[j]
-            if all(all(sum(row[t] * cm[t][s] for t in range(self.D)) == 0
-                       for s in range(deg)) for row in basis):
-                J.add(j)
+        # j is in J when the block of basis*C for column j vanishes
+        if basis:
+            nonzero = [any(c) for c in zip(*zl.mat_mul(basis, self.C))]
+        else:
+            nonzero = [False] * (deg * A.n)
+        J = frozenset(j for j in range(A.n)
+                      if not any(nonzero[deg * j: deg * (j + 1)]))
         bits = 0
         for j in J:
             bits |= 1 << j
         dim = len(basis) // deg
         fid = len(self.flats)
-        flat = Flat(fid, key, list(pivots), frozenset(J), bits, dim,
-                    A.ell - dim)
+        flat = Flat(fid, key, list(pivots), J, bits, dim, A.ell - dim)
         self.flats.append(flat)
         self._by_key[key] = fid
         return fid
 
-    def _fill_covers(self):
-        by_codim = {}
-        for f in self.flats:
-            by_codim.setdefault(f.codim, []).append(f)
-        for f in self.flats:
-            uppers = by_codim.get(f.codim + 1, [])
-            for g in uppers:
-                if f.Jbits & g.Jbits == f.Jbits:
-                    f.above.append(g.id)
-                    g.below.append(f.id)
-
     def _fill_mobius(self):
-        mob = [0] * len(self.flats)
-        order = sorted(self.flats, key=lambda f: f.codim)
-        for f in order:
-            if f.codim == 0:
-                mob[f.id] = 1
-                continue
+        # flats are numbered level by level, so a flat's covers (the X
+        # with X cap H_i equal to it) come first; the flats above it are
+        # its covers and the flats above those, kept as bits of flat ids
+        covers = [set() for _ in self.flats]
+        for (xid, _), yid in self.child.items():
+            covers[yid].add(xid)
+        mob = [1] * len(self.flats)
+        above = [0] * len(self.flats)
+        for yid in range(1, len(self.flats)):
+            bits = 0
+            for xid in covers[yid]:
+                bits |= above[xid] | 1 << xid
+            above[yid] = bits
             s = 0
-            for g in self.flats:
-                if g.id != f.id and g.Jbits & f.Jbits == g.Jbits \
-                        and g.codim < f.codim:
-                    s += mob[g.id]
-            mob[f.id] = -s
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                s += mob[low.bit_length() - 1]
+            mob[yid] = -s
         return mob
 
     def characteristic_polynomial(self):
@@ -230,15 +245,16 @@ class Layer:
 class _Refinement:
     """Solver data for intersecting layers of one flat with one subgroup.
 
-    The invariant factors of M = lam_basis * colmat come from gcds of its
-    entries and 2x2 minors; the Smith transforms U, V are computed only
-    when coset representatives or a nonzero layer need them.
+    The caller passes M = lam_basis * colmat.  Its invariant factors come
+    from gcds of its entries and 2x2 minors; the Smith transforms U, V are
+    computed only when coset representatives or a nonzero layer need them.
     """
 
     __slots__ = ("child", "lam_child", "pivots_child", "basis", "colmat",
                  "M", "V", "U", "diag", "steps", "reps", "m")
 
-    def __init__(self, lam_basis, lam_child, pivots_child, colmat, m, child):
+    def __init__(self, lam_basis, lam_child, pivots_child, colmat, M, m,
+                 child):
         D = len(lam_basis)
         deg = len(colmat[0])
         self.child = child
@@ -247,7 +263,7 @@ class _Refinement:
         self.basis = lam_basis
         self.colmat = colmat
         self.m = m
-        self.M = zl.mat_mul(lam_basis, colmat)
+        self.M = M
         self.U = self.V = None
         self.diag = zl.small_snf_diagonal(self.M)
         self.steps = [m // math.gcd(d, m) for d in self.diag]
@@ -581,12 +597,9 @@ def layer_poset(A, period=None, mobius="auto", budget=LAYER_BUDGET):
         if not tau.contains_ideal(period):
             return None  # not period-torsion: outside this poset
         flat = lattice.flats[flat_id]
-        jset = set()
-        for j in sorted(flat.J):
-            cm = lattice.colmats[j]
-            if all(sum(y[i] * cm[i][s] for i in range(D)) % m == 0
-                   for s in range(deg)):
-                jset.add(j)
+        yc = zl.vec_mat(y, lattice.C)
+        jset = {j for j in flat.J
+                if all(x % m == 0 for x in yc[deg * j: deg * (j + 1)])}
         bits = 0
         for j in jset:
             bits |= 1 << j
@@ -610,6 +623,7 @@ def layer_poset(A, period=None, mobius="auto", budget=LAYER_BUDGET):
             if not ys:
                 continue
             lam_basis, _ = poset.lam(flat.id)
+            prod = zl.mat_mul(lam_basis, lattice.C)
             for j in range(A.n):
                 if j in flat.J:
                     continue
@@ -617,8 +631,9 @@ def layer_poset(A, period=None, mobius="auto", budget=LAYER_BUDGET):
                 # refinement is built and used exactly once
                 child = lattice.child[(flat.id, j)]
                 lam_child, pivots_child = poset.lam(child)
+                M = [row[deg * j: deg * (j + 1)] for row in prod]
                 refine = _Refinement(lam_basis, lam_child, pivots_child,
-                                     lattice.colmats[j], m, child)
+                                     lattice.colmats[j], M, m, child)
                 for y in ys:
                     for y_new in refine.solve(list(y)):
                         z = add_layer(child, y_new)

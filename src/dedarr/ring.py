@@ -19,7 +19,7 @@ from .errors import (
     RingMismatch,
 )
 
-TRIAL_DIVISION_BOUND = 10 ** 6
+TRIAL_DIVISION_BOUND = 10 ** 3
 FACTOR_BUDGET = 2 ** 63
 RESIDUE_BUDGET = 10 ** 7
 
@@ -116,13 +116,14 @@ class Ring:
     def is_zero(self, x):
         return not any(x)
 
-    def divides(self, g, x):
-        """Whether the nonzero element g divides x in the ring."""
+    def divides(self, g, *xs):
+        """Whether the nonzero element g divides every x in the ring."""
         if self.degree == 1:
-            return x[0] % g[0] == 0
+            return all(x[0] % g[0] == 0 for x in xs)
         # x/g = x*conj(g)/N(g), and N(g) may be negative over a real order
         ng = self.norm(g)
-        return all(c % ng == 0 for c in self.mul(x, self.conj(g)))
+        cg = self.conj(g)
+        return all(c % ng == 0 for x in xs for c in self.mul(x, cg))
 
     def mul_rows(self, x):
         """Rows of the multiplication-by-x map on Z^degree coordinates."""

@@ -106,6 +106,9 @@ def test_lcm_period_equals_full_range_lcm():
         for ell, n in ((4, 4), (4, 4), (1, 1), (1, 3), (1, 5)):
             A = cq.Arrangement(ring, rand_columns(rng, ring, ell, n))
             assert cq.lcm_period(A) == full_range_lcm(A), A.columns
+        # ell = 5: the leaves' E_4 needs 3-minors the walk forms on demand
+        A = cq.Arrangement(ring, rand_columns(rng, ring, 5, 6, bound=2))
+        assert cq.lcm_period(A) == full_range_lcm(A), A.columns
     # {1, 2} is a principal leaf whose minor 3 does not divide the lcm
     # <2> of {0, 1}, so the full route must add the prime 3
     A = cq.Arrangement(Z, [[(2,), (0,)], [(0,), (1,)], [(3,), (0,)]])
@@ -116,6 +119,33 @@ def test_lcm_period_equals_full_range_lcm():
     A = cq.Arrangement(Z, [[(2,), (0,)], [(0,), (1,)], [(2,), (2,)]])
     assert cq.lcm_period(A) == full_range_lcm(A) == \
         rg.Ideal.principal(Z, (2,))
+    # rank below ell: the bases have fewer than ell columns, so no leaf is
+    # principal; a zero coordinate row, or ell = 3 with every column in
+    # the plane x_3 = x_1 + x_2, or proportional columns
+    for ring in (Z, ZI, Z5, ZT):
+        for ell, n in ((2, 3), (3, 4), (3, 5), (4, 4), (5, 6)):
+            for _ in range(3):
+                cols = rand_columns(rng, ring, ell, n)
+                cols = [(ring.zero,) + col[1:] for col in cols]
+                if all(any(any(x) for x in col) for col in cols):
+                    A = cq.Arrangement(ring, cols)
+                    assert cq.lcm_period(A) == full_range_lcm(A), cols
+        for n in (3, 4, 5):
+            for _ in range(3):
+                cols = [(a, b, ring.add(a, b))
+                        for a, b in rand_columns(rng, ring, 2, n)]
+                A = cq.Arrangement(ring, cols)
+                assert cq.lcm_period(A) == full_range_lcm(A), cols
+        base = rand_columns(rng, ring, 3, 1)[0]
+        scales = [rand_columns(rng, ring, 1, 1)[0][0] for _ in range(4)]
+        cols = [tuple(ring.mul(s, x) for x in base) for s in scales]
+        A = cq.Arrangement(ring, cols)
+        assert cq.lcm_period(A) == full_range_lcm(A), cols
+    # the walk stops at the rank: the bases {0} and {1} give <2> and <6>,
+    # and the pair {0, 1}, of rank 1, is never formed
+    A = cq.Arrangement(Z, [[(0,), (2,), (0,)], [(0,), (6,), (0,)]])
+    assert cq.lcm_period(A) == full_range_lcm(A) == \
+        rg.Ideal.principal(Z, (6,))
 
 
 def test_constituents_gaussian(gaussian_arrangement):

@@ -37,6 +37,65 @@ def test_intersection_lattice_examples(gaussian_arrangement,
     assert len(ly.intersection_lattice(generic).flats) == 4
 
 
+def direct_cut(lattice, flat, j):
+    """The HNF rows of flat cap H_j, by kernel and HNF as in the definition."""
+    base = [list(r) for r in flat.lat]
+    small = ly.zl.left_kernel(ly.zl.mat_mul(base, lattice.colmats[j]))
+    inter = ly.zl.mat_mul(small, base) if small else []
+    return tuple(tuple(r) for r in ly.zl.hnf(inter)[0])
+
+
+def check_children(A):
+    lat = ly.intersection_lattice(A)
+    pairs = 0
+    for flat in lat.flats:
+        if flat.dim == 0:
+            continue
+        for j in range(A.n):
+            if j in flat.J:
+                continue
+            got = lat.flats[lat.child[(flat.id, j)]]
+            assert got.lat == direct_cut(lat, flat, j), (flat, j)
+            assert got.codim == flat.codim + 1
+            assert got.J >= flat.J | {j}
+            pairs += 1
+    assert len(lat.child) == pairs
+    # J is exactly the set of hyperplanes whose column the flat kills
+    for flat in lat.flats:
+        J = {j for j in range(A.n)
+             if not any(ly.zl.mat_mul([list(r) for r in flat.lat],
+                                      lat.colmats[j])[i][s]
+                        for i in range(len(flat.lat))
+                        for s in range(A.ring.degree))}
+        assert flat.J == J and flat.Jbits == sum(1 << j for j in J)
+    return lat
+
+
+def test_children_are_direct_intersections():
+    # most children are registered from the J-bits of a flat found
+    # elsewhere; each must be the intersection computed directly
+    h3 = rootsys.builtin("H3").arrangement
+    assert len(check_children(h3).flats) == 48
+    h4 = rootsys.builtin("H4").arrangement
+    prefix = cq.Arrangement(h4.ring, h4.columns[:24])
+    assert len(check_children(prefix).flats) == 310
+    rng = random.Random(66)
+    for ring in (Z, ZI, Z5, ZT):
+        for _ in range(10):
+            check_children(rand_small_arrangement(rng, ring, ell_max=4,
+                                                  n_max=6, bound=2))
+
+
+def test_unregistered_known_flat_is_caught(monkeypatch):
+    # without the J-bit registration, a second cut reaching a known flat
+    # would be computed; the lattice must refuse it, not merge it
+    from dedarr.errors import CertificateFailure
+    monkeypatch.setattr(ly.FlatLattice, "_register",
+                        lambda self, level, flat: None)
+    with pytest.raises(CertificateFailure):
+        ly.intersection_lattice(rootsys.builtin("H3").arrangement)
+
+
 def test_whitney_polynomial_matches_first_constituent():
     rng = random.Random(61)
     checked = 0

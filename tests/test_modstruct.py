@@ -253,3 +253,31 @@ def test_last_factor_monotone_under_extension():
             assert inv_full.last_factor().divides(inv_sub.last_factor())
             checked += 1
     assert checked >= 60
+
+
+def test_last_factor_divides_along_independent_extension():
+    # J independent and J + {j} independent: dropping coordinate j maps
+    # coker(J + {j}) onto coker(J), so d(J) | d(J + {j}); lcm_period's walk
+    # to the bases rests on this
+    rng = random.Random(29)
+    for ring in RINGS:
+        checked = 0
+        while checked < 40:
+            ell = rng.randint(1, 4)
+            k = rng.randint(0, ell - 1)
+            cols = [tuple(
+                tuple(rng.randint(-3, 3) for _ in range(ring.degree))
+                for _ in range(ell)) for _ in range(k + 1)]
+            small = ms.invariant_factors(
+                ms.CoeffMatrix.from_columns(ring, cols[:k])) if k else None
+            big = ms.invariant_factors(
+                ms.CoeffMatrix.from_columns(ring, cols))
+            if big.rank != k + 1:
+                continue
+            if small is None:
+                d_small = rg.Ideal.unit(ring)
+            else:
+                assert small.rank == k
+                d_small = small.last_factor()
+            assert d_small.divides(big.last_factor()), (ring, cols)
+            checked += 1

@@ -343,6 +343,14 @@ def test_divides_matches_principal_membership():
                 rg.Ideal.principal(ZT, g).contains(x), (g, x)
     # over Z the quadratic formula would accept everything
     assert not Z.divides((3,), (4,)) and Z.divides((-3,), (12,))
+    # several elements at once: g divides each of them
+    for ring in (Z, ZI, Z5, ZT):
+        for _ in range(100):
+            g = rand_element(rng, ring, 4)
+            xs = [rand_element(rng, ring, 6) for _ in range(2)]
+            xs = [ring.mul(g, x) if rng.random() < 0.6 else x for x in xs]
+            assert ring.divides(g, *xs) == \
+                all(ring.divides(g, x) for x in xs), (ring, g, xs)
 
 
 def test_ideals_of_norm_up_to_matches_all_ideals():
@@ -398,3 +406,29 @@ def test_factor_budget():
     huge = rg.Ideal.principal(Z, (2 ** 70 + 1,))
     with pytest.raises(NormFactorizationTooLarge):
         huge.factor()
+
+
+def test_factor_int_matches_trial_division():
+    # large cofactors go to the Miller-Rabin test and Pollard rho; the
+    # result must be the plain trial-division factorisation
+    def trial(n):
+        out = {}
+        f = 2
+        while f * f <= n:
+            while n % f == 0:
+                out[f] = out.get(f, 0) + 1
+                n //= f
+            f += 1
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+
+    rng = random.Random(67)
+    cases = list(range(1, 2000))
+    cases += [rng.randint(1, 10 ** 8) for _ in range(200)]
+    # prime squares and products just past the trial-division bound
+    cases += [1009 ** 2, 1013 * 1019, 4 * 300007 ** 2, 3 * 1009 * 10007,
+              999983 * 1000003, 7 ** 5 * 1031 ** 2]
+    for n in cases:
+        assert rg._factor_int(n) == trial(n), n
+    assert rg._factor_int((10 ** 9 + 7) ** 2) == {10 ** 9 + 7: 2}
