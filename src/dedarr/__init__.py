@@ -9,7 +9,6 @@ from .charquasi import (
     minimality_certificate,
 )
 from .layers import (
-    intersection_lattice,
     layer_poset,
     whitney_characteristic_polynomial,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "builtin",
     "constituents",
     "evaluate",
-    "intersection_lattice",
     "layer_poset",
     "lcm_period",
     "localize",

@@ -119,13 +119,13 @@ def arrangement_from_json(data):
         parsed = []
         for ei, x in enumerate(col):
             if ring.degree == 1:
-                if not isinstance(x, int):
+                if type(x) is not int:
                     raise InvalidArrangement(
                         f"columns[{ci}][{ei}]: expected an integer")
                 parsed.append((x,))
             else:
                 if (not isinstance(x, list) or len(x) != 2
-                        or not all(isinstance(v, int) for v in x)):
+                        or not all(type(v) is int for v in x)):
                     raise InvalidArrangement(
                         f"columns[{ci}][{ei}]: expected [a, b]")
                 parsed.append(tuple(x))
@@ -133,7 +133,7 @@ def arrangement_from_json(data):
     name = data.get("name")
     if not columns:
         ell = data.get("ell")
-        if not isinstance(ell, int) or ell < 1:
+        if type(ell) is not int or ell < 1:
             raise InvalidArrangement('empty arrangement needs integer "ell"')
         return Arrangement.empty(ring, ell, name=name)
     return Arrangement(ring, columns, name=name)
@@ -150,14 +150,14 @@ def parse_element_list(ring, text):
     out = []
     for i, x in enumerate(data):
         if ring.degree == 1:
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise InvalidArrangement(f"element {i}: expected an integer")
             out.append((x,))
         else:
-            if isinstance(x, int):
+            if type(x) is int:
                 out.append((x, 0))
             elif (isinstance(x, list) and len(x) == 2
-                  and all(isinstance(v, int) for v in x)):
+                  and all(type(v) is int for v in x)):
                 out.append(tuple(x))
             else:
                 raise InvalidArrangement(f"element {i}: expected [a, b]")

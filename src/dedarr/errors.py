@@ -66,4 +66,4 @@ class ElementNotInModule(InputError):
 
 
 class CertificateFailure(InternalCheckError):
-    """Minimality certificate self-check failed."""
+    """A certificate or lattice self-check failed."""

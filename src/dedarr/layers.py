@@ -95,7 +95,9 @@ class FlatLattice:
                     new_ids.append(got)
                     self._register(level, self.flats[got])
             level = new_ids
-        self.mobius = self._fill_mobius()
+        mob = self._mobius_on((1 << A.n) - 1)
+        self.mobius = [mob[i] for i in range(len(self.flats))]
+        self._sub_top = {}
 
     def _register(self, level, flat):
         """Record flat as X cap H_i for every X of the level inside it."""
@@ -131,26 +133,43 @@ class FlatLattice:
         self._by_key[key] = fid
         return fid
 
-    def _fill_mobius(self):
-        # flats are numbered level by level, so a flat's covers (the X
-        # with X cap H_i equal to it) come first; the flats above it are
-        # its covers and the flats above those, kept as bits of flat ids
-        covers = [set() for _ in self.flats]
-        for (xid, _), yid in self.child.items():
-            covers[yid].add(xid)
-        mob = [1] * len(self.flats)
-        above = [0] * len(self.flats)
-        for yid in range(1, len(self.flats)):
-            bits = 0
-            for xid in covers[yid]:
-                bits |= above[xid] | 1 << xid
-            above[yid] = bits
-            s = 0
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                s += mob[low.bit_length() - 1]
-            mob[yid] = -s
+    def _mobius_on(self, col_bits):
+        """Moebius values on the flats of the sub-arrangement on col_bits.
+
+        Its flats are the flats reached from the ambient one through
+        child[(X, j)] with j in col_bits, and its covers are those steps.
+        Each level is reached from the one before, so the flats above a
+        flat (its covers and the flats above those, kept as bits of flat
+        ids) are complete before its value is summed.  Returns
+        {flat id: mu}.
+        """
+        flats, child = self.flats, self.child
+        above = {0: 0}
+        mob = {}
+        level = [0]
+        while level:
+            nxt = []
+            for fid in level:
+                bits = above[fid]
+                up = bits | 1 << fid
+                s = 0
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    s += mob[low.bit_length() - 1]
+                mob[fid] = -s if fid else 1
+                cols = col_bits & ~flats[fid].Jbits
+                while cols:
+                    low = cols & -cols
+                    yid = child[(fid, low.bit_length() - 1)]
+                    # every i in J(Y) cuts this flat to the same Y
+                    cols &= ~flats[yid].Jbits
+                    if yid in above:
+                        above[yid] |= up
+                    else:
+                        above[yid] = up
+                        nxt.append(yid)
+            level = nxt
         return mob
 
     def characteristic_polynomial(self):
@@ -160,62 +179,19 @@ class FlatLattice:
             coeffs[f.dim] += self.mobius[f.id]
         return tuple(coeffs)
 
-    def flats_above(self, flat):
-        """Flats whose subspace strictly contains the given flat's."""
-        return [g for g in self.flats
-                if g.id != flat.id and g.Jbits & flat.Jbits == g.Jbits]
-
     def sub_top_mobius(self, sub_bits):
         """Moebius value at the top of the sub-arrangement on these columns.
 
         The flats of a column-subset arrangement are main-lattice flats,
         reachable through the cached intersection map, so no new linear
-        algebra happens here.
+        algebra happens here.  The top is the deepest flat reached, which
+        has the largest id.
         """
-        if not hasattr(self, "_sub_mobius_cache"):
-            self._sub_mobius_cache = {}
-        cached = self._sub_mobius_cache.get(sub_bits)
-        if cached is not None:
-            return cached
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for fid in frontier:
-                flat = self.flats[fid]
-                if flat.dim == 0:
-                    continue
-                bits = sub_bits & ~flat.Jbits
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    child = self.child[(fid, low.bit_length() - 1)]
-                    if child not in reached:
-                        reached.add(child)
-                        nxt.append(child)
-            frontier = nxt
-        members = sorted(reached, key=lambda i: self.flats[i].codim)
-        mob = {}
-        for fid in members:
-            flat = self.flats[fid]
-            if flat.codim == 0:
-                mob[fid] = 1
-                continue
-            s = 0
-            for gid in members:
-                if gid != fid and \
-                        self.flats[gid].Jbits & flat.Jbits == \
-                        self.flats[gid].Jbits:
-                    s += mob[gid]
-            mob[fid] = -s
-        value = mob[members[-1]]  # the unique deepest flat is the top
-        self._sub_mobius_cache[sub_bits] = value
+        value = self._sub_top.get(sub_bits)
+        if value is None:
+            mob = self._mobius_on(sub_bits)
+            value = self._sub_top[sub_bits] = mob[max(mob)]
         return value
-
-
-def intersection_lattice(A):
-    """All flats of the arrangement, ambient first, by increasing codim."""
-    return FlatLattice(A)
 
 
 def whitney_characteristic_polynomial(A):
@@ -368,7 +344,14 @@ class _Refinement:
 
 
 class LayerPoset:
-    """All layers, grouped by flat, with annihilators and Moebius values."""
+    """All layers, grouped by flat, with annihilators and Moebius values.
+
+    The Moebius value of a layer L is local: the layers above L match the
+    flats above the flat of L in the central sub-arrangement J(L) of the
+    hyperplanes whose subgroups contain L, so mu(L) is the Moebius value
+    at the top of the intersection lattice of J(L).  When J(L) is the
+    whole J of its flat, that is the flat's own value.
+    """
 
     def __init__(self, arrangement, period, lattice, m, layers, index):
         self.arrangement = arrangement
@@ -411,54 +394,18 @@ class LayerPoset:
             return False
         return self.canon(a.flat_id, b.y) == a.y
 
-    def layers_at(self, flat_id):
-        return [z for z in self.layers if z.flat_id == flat_id]
-
-    def identity_layer(self, flat_id):
-        zero = (0,) * self.lattice.D
-        return self.layers[self.index[(flat_id, zero)]]
-
     # -- Moebius values --
 
-    def fill_mobius(self, method="auto"):
-        if method == "auto":
-            small = len(self.layers) * len(self.lattice.flats) <= 200000
-            method = "recursion" if small else "localization"
-        if method == "recursion":
-            self._mobius_recursion()
-        elif method == "localization":
-            self._mobius_localization()
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        return self
-
-    def _mobius_recursion(self):
-        order = sorted(self.layers, key=lambda z: self.flat(z).codim)
-        for z in order:
-            flat = self.flat(z)
-            if flat.codim == 0:
-                z.mu = 1
-                continue
-            s = 0
-            for g in self.lattice.flats_above(flat):
-                w = self.project(z, g.id)
-                if w is not None:
-                    s += w.mu
-            z.mu = -s
-
-    def _mobius_localization(self):
-        # mu of a layer equals the top Moebius value of the intersection
-        # lattice of the columns whose subgroups contain it
+    def fill_mobius(self):
+        """Set each layer's mu by the localization in the class docstring."""
+        lattice = self.lattice
         for z in self.layers:
             flat = self.flat(z)
-            if flat.codim == 0:
-                z.mu = 1
-            elif z.Jbits == flat.Jbits:
-                # the sub-arrangement realizes the whole interval below
-                # the flat, whose Moebius value is already known
-                z.mu = self.lattice.mobius[flat.id]
+            if z.Jbits == flat.Jbits:
+                z.mu = lattice.mobius[flat.id]
             else:
-                z.mu = self.lattice.sub_top_mobius(z.Jbits)
+                z.mu = lattice.sub_top_mobius(z.Jbits)
+        return self
 
     # -- torsion subposets and constituents --
 
@@ -545,7 +492,7 @@ class LayerPoset:
         return "\n".join(lines) + "\n"
 
 
-def layer_poset(A, period=None, mobius="auto", budget=LAYER_BUDGET):
+def layer_poset(A, period=None, budget=LAYER_BUDGET):
     """Build the poset of layers, keeping the period-torsion layers.
 
     When ``period`` is the lcm period (the default) this is the full
@@ -640,11 +587,11 @@ def layer_poset(A, period=None, mobius="auto", budget=LAYER_BUDGET):
                         if z is not None:
                             next_by_flat.setdefault(child, []).append(y_new)
         by_flat = next_by_flat
-    poset.fill_mobius(mobius)
+    poset.fill_mobius()
     return poset
 
 
-def localized_layer_poset(A, s_gens, mobius="auto"):
+def localized_layer_poset(A, s_gens):
     """Layer poset of the arrangement over the localization at s_gens.
 
     Inverting elements strips their primes from the period; the layers
@@ -653,4 +600,4 @@ def localized_layer_poset(A, s_gens, mobius="auto"):
     """
     from .charquasi import lcm_period, strip_primes
     stripped, _ = strip_primes(lcm_period(A), s_gens)
-    return layer_poset(A, period=stripped, mobius=mobius)
+    return layer_poset(A, period=stripped)

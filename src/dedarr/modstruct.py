@@ -9,15 +9,15 @@ E_i
     E_i = ideal generated by all i x i minors of C,     d_i = E_i * E_{i-1}^{-1}
 
 which is valid because both sides localize to the Smith normal form
-identity over every discrete valuation ring.  The explicit torsion module
-is computed independently by restricting scalars to Z and taking Smith
-normal form, and the two routes cross-check each other in the tests.
+identity over every discrete valuation ring.  The tests cross-check the
+d_i against the explicit torsion module, computed independently by
+restricting scalars to Z and taking Smith normal form.
 """
 
 from itertools import combinations
 
 from . import zlinalg as zl
-from .errors import ElementNotInModule, NonIntegralQuotient
+from .errors import NonIntegralQuotient
 from .ring import FractionalIdeal, Ideal
 
 
@@ -165,111 +165,3 @@ def invariant_factors(C):
         factors.append(d)
         prev = e
     return SubsetInvariants(len(ideals), factors)
-
-
-class TorsionModule:
-    """The torsion part of coker(x -> x*C) as an explicit finite group.
-
-    Elements are tuples of coordinates, one per cyclic factor; the
-    multiplication-by-w action is stored as an integer matrix on the
-    Smith coordinates.
-    """
-
-    __slots__ = ("ring", "invariants", "rel_basis", "rel_pivots",
-                 "omega_action")
-
-    def __init__(self, ring, invariants, rel_rows, omega_action):
-        self.ring = ring
-        self.invariants = tuple(invariants)
-        basis, pivots = zl.hnf(rel_rows) if rel_rows else ([], [])
-        self.rel_basis = basis
-        self.rel_pivots = pivots
-        self.omega_action = omega_action
-
-    def __len__(self):
-        size = 1
-        for d in self.invariants:
-            size *= d
-        return size
-
-    def elements(self):
-        elts = [()]
-        for d in self.invariants:
-            elts = [e + (t,) for e in elts for t in range(d)]
-        return [tuple(e) for e in elts]
-
-    def canonical(self, coords):
-        if len(coords) != len(self.invariants):
-            raise ElementNotInModule("wrong coordinate length")
-        return tuple(c % d for c, d in zip(coords, self.invariants))
-
-    def act_omega(self, coords):
-        out = zl.vec_mat(list(coords), self.omega_action) \
-            if self.omega_action else list(coords)
-        return self.canonical(out)
-
-    def act(self, x, coords):
-        """Multiply the element by the ring element x."""
-        a = list(self.canonical(coords))
-        result = [c * x[0] for c in a]
-        if self.ring.degree == 2 and x[1]:
-            wpart = self.act_omega(a)
-            result = [r + x[1] * w for r, w in zip(result, wpart)]
-        return self.canonical(result)
-
-    def annihilator(self, coords):
-        """The ideal {a in O : a * element = 0}."""
-        ring = self.ring
-        coords = self.canonical(coords)
-        deg = ring.degree
-        if not self.invariants:
-            return Ideal.unit(ring)
-        rows = [list(coords)]
-        if deg == 2:
-            rows.append(list(self.act_omega(coords)))
-        # a = (a0, a1) kills the element iff a0*v + a1*(w v) = 0 modulo the
-        # cyclic orders
-        rel = [[self.invariants[i] if j == i else 0
-                for j in range(len(self.invariants))]
-               for i in range(len(self.invariants))]
-        stacked = rows + rel
-        ker = zl.left_kernel(stacked)
-        proj = [k[:deg] for k in ker]
-        basis, _ = zl.hnf(proj)
-        if len(basis) < deg:
-            raise AssertionError("annihilator lattice is rank deficient")
-        return Ideal(ring, basis)
-
-    def abelian_invariants(self):
-        return self.invariants
-
-
-def torsion_cokernel(C):
-    """Explicit torsion part of the cokernel, via Smith normal form over Z."""
-    ring = C.ring
-    deg = ring.degree
-    n = deg * C.ncols
-    rel = C.restriction_rows()
-    basis, _ = zl.hnf(rel)
-    if not basis:
-        return TorsionModule(ring, (), [], [])
-    diag, U, V, Vinv = zl.snf_transforms(basis)
-    # Z^n / L in coordinates z = y * V: z_i taken mod diag_i (i < rank),
-    # free otherwise.  The torsion part keeps the coordinates with d > 1.
-    tors_idx = [i for i, d in enumerate(diag) if d > 1]
-    invariants = [diag[i] for i in tors_idx]
-    # multiplication by w on ambient coordinates
-    if deg == 2:
-        w_amb = [[0] * n for _ in range(n)]
-        for j in range(C.ncols):
-            t, nn = ring.omega_trace, ring.omega_norm
-            # (a + b w) * w = -nn*b + (a + t*b) w
-            w_amb[2 * j][2 * j + 1] = 1
-            w_amb[2 * j + 1][2 * j] = -nn
-            w_amb[2 * j + 1][2 * j + 1] = t
-    else:
-        w_amb = zl.identity(n)
-    # action on z-coordinates: z -> z V^{-1} W V, restricted to torsion coords
-    conj = zl.mat_mul(zl.mat_mul(Vinv, w_amb), V)
-    action = [[conj[i][j] for j in tors_idx] for i in tors_idx]
-    return TorsionModule(ring, invariants, basis, action)

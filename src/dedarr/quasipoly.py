@@ -186,6 +186,6 @@ def ring_from_json(data):
     from .ring import Ring
     if data.get("type") == "Z":
         return Ring("Z")
-    if data.get("type") == "quadratic":
-        return Ring("quadratic", int(data["d"]))
+    if data.get("type") == "quadratic" and type(data.get("d")) is int:
+        return Ring("quadratic", data["d"])
     raise ValueError(f"unknown ring literal: {data!r}")

@@ -14,6 +14,8 @@ from . import zlinalg as zl
 from .errors import (
     AllGeneratorsZero,
     BudgetExceeded,
+    ElementNotInModule,
+    NonIntegralQuotient,
     NormFactorizationTooLarge,
     NotPrime,
     RingMismatch,
@@ -67,7 +69,11 @@ class Ring:
         return (a,) + (0,) * (self.degree - 1)
 
     def element(self, coords):
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
+        # exact ints only: int() would truncate 1.7 and read True as 1
+        if not all(type(c) is int for c in coords):
+            raise ElementNotInModule(
+                f"coordinates must be integers: {coords!r}")
         if len(coords) != self.degree:
             if self.degree == 1 and len(coords) == 2 and coords[1] == 0:
                 return (coords[0],)
@@ -124,12 +130,6 @@ class Ring:
         ng = self.norm(g)
         cg = self.conj(g)
         return all(c % ng == 0 for x in xs for c in self.mul(x, cg))
-
-    def mul_rows(self, x):
-        """Rows of the multiplication-by-x map on Z^degree coordinates."""
-        if self.degree == 1:
-            return [[x[0]]]
-        return [list(x), list(self.omega_mul(x))]
 
     def format_element(self, x):
         if self.degree == 1:
@@ -385,7 +385,7 @@ class FractionalIdeal:
     def to_integral(self):
         red = self.reduced()
         if red.denominator != 1:
-            raise ValueError("fractional ideal is not integral")
+            raise NonIntegralQuotient("fractional ideal is not integral")
         return red.numerator
 
     def __mul__(self, other):

@@ -8,6 +8,8 @@ integer combinations of the rows of its basis matrix.
 import math
 from fractions import Fraction
 
+from .errors import CertificateFailure
+
 
 def xgcd(a, b):
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
@@ -408,11 +410,12 @@ def coset_reps(sub_rows, sup_rows):
     for row in sub:
         c = coords_in_lattice(row, sup, sup_piv)
         if c is None:
-            raise ValueError("sub lattice is not contained in sup lattice")
+            raise CertificateFailure(
+                "sub lattice is not contained in sup lattice")
         coords.append(c)
     diag, U, V, Vinv = snf_transforms(coords)
     if len(diag) < len(sup):
-        raise ValueError("quotient is infinite")
+        raise CertificateFailure("quotient is infinite")
     new_basis = mat_mul(Vinv, sup)
     reps = [[0] * len(sup[0])]
     for i, d in enumerate(diag):

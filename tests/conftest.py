@@ -39,3 +39,31 @@ def rand_small_arrangement(rng, ring, ell_max=3, n_max=4, bound=3):
             cols.append(col)
         if ok:
             return cq.Arrangement(ring, cols)
+
+
+def flats_above(lattice, flat):
+    """Flats whose subspace strictly contains the given flat's."""
+    return [g for g in lattice.flats
+            if g.id != flat.id and g.Jbits & flat.Jbits == g.Jbits]
+
+
+def mobius_by_recursion(P):
+    """{layer index: mu} by mu(L) = -sum of mu over the layers above L.
+
+    The definition read off the poset itself: the layers above L are its
+    projections to the flats above its flat.  The reference that the
+    localized values of ``LayerPoset.fill_mobius`` are checked against.
+    """
+    mu = {}
+    for z in sorted(P.layers, key=lambda z: P.flat(z).codim):
+        flat = P.flat(z)
+        if flat.codim == 0:
+            mu[z.index] = 1
+            continue
+        s = 0
+        for g in flats_above(P.lattice, flat):
+            w = P.project(z, g.id)
+            if w is not None:
+                s += mu[w.index]
+        mu[z.index] = -s
+    return mu

@@ -19,7 +19,7 @@ from dedarr import ring as rg
 from dedarr import rootsys
 from dedarr.quasipoly import poly_eval
 
-from conftest import rand_small_arrangement
+from conftest import flats_above, rand_small_arrangement
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -467,7 +467,7 @@ def test_criterion_12_property_suites(h4_built):
                 for i in chosen:
                     z = P.layers[i]
                     flat = P.lattice.flats[z.flat_id]
-                    for g in P.lattice.flats_above(flat):
+                    for g in flats_above(P.lattice, flat):
                         w = P.project(z, g.id)
                         if w is not None:
                             assert w.index in chosen

@@ -342,3 +342,21 @@ def test_arrangement_json_errors():
     with pytest.raises(InvalidArrangement):
         cq.arrangement_from_json(
             {"ring": {"type": "quadratic", "d": -5}, "columns": [[3]]})
+    # JSON booleans are not integers, and neither is a float ring d
+    for cols in ([[True, 2], [1, False]], [[1, 2], [True, 3]]):
+        with pytest.raises(InvalidArrangement):
+            cq.arrangement_from_json({"ring": {"type": "Z"}, "columns": cols})
+    with pytest.raises(InvalidArrangement):
+        cq.arrangement_from_json({"ring": {"type": "quadratic", "d": -1},
+                                  "columns": [[[1, True]]]})
+    with pytest.raises(InvalidArrangement):
+        cq.arrangement_from_json({"ring": {"type": "quadratic", "d": -1.5},
+                                  "columns": [[[1, 0]]]})
+    with pytest.raises(InvalidArrangement):
+        cq.arrangement_from_json({"ring": {"type": "Z"}, "ell": True,
+                                  "columns": []})
+    for text in ("[true]", "[[1, true]]", "[false, 2]"):
+        with pytest.raises(InvalidArrangement):
+            cq.parse_element_list(ZI, text)
+        with pytest.raises(InvalidArrangement):
+            cq.parse_element_list(Z, text)

@@ -152,6 +152,30 @@ def test_exit_codes(tmp_path, nonprincipal_file):
     assert rc == 2
 
 
+def test_boolean_entries_exit_2(tmp_path, nonprincipal_file):
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps({"ring": {"type": "Z"},
+                                "columns": [[True, 2], [1, False]]}))
+    for cmd in ("period", "constituents", "layers"):
+        rc, text = run([cmd, str(path)])
+        assert rc == 2 and text == ""
+    rc, _ = run(["eval", nonprincipal_file, "--ideal", "[true]"])
+    assert rc == 2
+
+
+def test_internal_fault_exits_4(monkeypatch, nonprincipal_file):
+    # a non-integral quotient inside the library is a bug, not bad input
+    from dedarr import charquasi as cq
+    from dedarr import ring as rg
+
+    def broken(A):
+        return rg.FractionalIdeal(rg.Ideal.unit(A.ring), 2).to_integral()
+
+    monkeypatch.setattr(cq, "lcm_period", broken)
+    rc, _ = run(["period", nonprincipal_file])
+    assert rc == 4
+
+
 def test_empty_arrangement_file(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"ring": {"type": "quadratic", "d": -5},

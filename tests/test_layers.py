@@ -9,7 +9,8 @@ from dedarr import modstruct as ms
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import rand_small_arrangement
+from conftest import (flats_above, mobius_by_recursion,
+                      rand_small_arrangement)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -23,10 +24,10 @@ PQ = rg.Ideal.principal(Z5, (1, 1))
 
 def test_intersection_lattice_examples(gaussian_arrangement,
                                        nonprincipal_arrangement):
-    lat = ly.intersection_lattice(nonprincipal_arrangement)
+    lat = ly.FlatLattice(nonprincipal_arrangement)
     assert len(lat.flats) == 2  # ambient plus one line: equal hyperplanes
 
-    lat = ly.intersection_lattice(gaussian_arrangement)
+    lat = ly.FlatLattice(gaussian_arrangement)
     assert len(lat.flats) == 6  # ambient, four lines, origin
     dims = sorted(f.dim for f in lat.flats)
     assert dims == [0, 1, 1, 1, 1, 2]
@@ -34,7 +35,7 @@ def test_intersection_lattice_examples(gaussian_arrangement,
     assert origin.J == frozenset({0, 1, 2, 3})
 
     generic = cq.Arrangement(Z, [[(1,), (0,)], [(0,), (1,)]])
-    assert len(ly.intersection_lattice(generic).flats) == 4
+    assert len(ly.FlatLattice(generic).flats) == 4
 
 
 def direct_cut(lattice, flat, j):
@@ -46,7 +47,7 @@ def direct_cut(lattice, flat, j):
 
 
 def check_children(A):
-    lat = ly.intersection_lattice(A)
+    lat = ly.FlatLattice(A)
     pairs = 0
     for flat in lat.flats:
         if flat.dim == 0:
@@ -93,7 +94,7 @@ def test_unregistered_known_flat_is_caught(monkeypatch):
     monkeypatch.setattr(ly.FlatLattice, "_register",
                         lambda self, level, flat: None)
     with pytest.raises(CertificateFailure):
-        ly.intersection_lattice(rootsys.builtin("H3").arrangement)
+        ly.FlatLattice(rootsys.builtin("H3").arrangement)
 
 
 def test_whitney_polynomial_matches_first_constituent():
@@ -189,13 +190,45 @@ def test_layer_counts_random():
 
 def test_mobius_methods_agree(gaussian_arrangement,
                               nonprincipal_arrangement):
-    for A in (gaussian_arrangement, nonprincipal_arrangement,
-              rootsys.builtin("H3").arrangement):
-        P1 = ly.layer_poset(A, mobius="recursion")
-        P2 = ly.layer_poset(A, mobius="localization")
-        k1 = {(z.flat_id, z.y): z.mu for z in P1.layers}
-        k2 = {(z.flat_id, z.y): z.mu for z in P2.layers}
-        assert k1 == k2
+    # the localized values against the recursion over the poset itself,
+    # also on random arrangements with layers where J(L) != J(flat)
+    def split_layers(A):
+        P = ly.layer_poset(A)
+        assert {z.index: z.mu for z in P.layers} == mobius_by_recursion(P)
+        return sum(1 for z in P.layers if z.Jbits != P.flat(z).Jbits)
+
+    h4 = rootsys.builtin("H4").arrangement
+    split = sum(split_layers(A) for A in (
+        gaussian_arrangement, nonprincipal_arrangement,
+        rootsys.builtin("H3").arrangement,
+        cq.Arrangement(h4.ring, h4.columns[:24])))
+    rng = random.Random(67)
+    for ring in (Z, ZI, Z5, ZT):
+        found = 0
+        while found < 10:
+            A = rand_small_arrangement(rng, ring, ell_max=3, n_max=4)
+            if cq.lcm_period(A).norm <= 2000:
+                got = split_layers(A)
+                split += got
+                found += got > 0
+    assert split >= 100
+
+
+def test_sub_top_mobius_of_all_columns_is_bottom_flat():
+    h4 = rootsys.builtin("H4").arrangement
+    rng = random.Random(68)
+    cases = [rootsys.builtin("H3").arrangement,
+             cq.Arrangement(h4.ring, h4.columns[:24])]
+    cases += [rand_small_arrangement(rng, ring, ell_max=4, n_max=6)
+              for ring in (Z, ZI, Z5, ZT) for _ in range(5)]
+    for A in cases:
+        lat = ly.FlatLattice(A)
+        bottom = lat.flats[-1]
+        assert bottom.codim == max(f.codim for f in lat.flats)
+        assert lat.sub_top_mobius((1 << A.n) - 1) == lat.mobius[bottom.id]
+        # and on each flat's own columns, that flat's value
+        for flat in lat.flats[1:]:
+            assert lat.sub_top_mobius(flat.Jbits) == lat.mobius[flat.id]
 
 
 def test_mobius_sign_alternation():
@@ -242,7 +275,7 @@ def test_kappa_subposet_is_order_ideal():
                 chosen = set(P.kappa_subposet(kappa))
                 for i in chosen:
                     z = P.layers[i]
-                    for g in P.lattice.flats_above(P.lattice.flats[z.flat_id]):
+                    for g in flats_above(P.lattice, P.flat(z)):
                         w = P.project(z, g.id)
                         if w is not None:
                             assert w.index in chosen

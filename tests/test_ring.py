@@ -3,7 +3,14 @@ import random
 import pytest
 
 from dedarr import ring as rg
-from dedarr.errors import AllGeneratorsZero, NotPrime, RingMismatch
+from dedarr.errors import (
+    AllGeneratorsZero,
+    ElementNotInModule,
+    InputError,
+    NonIntegralQuotient,
+    NotPrime,
+    RingMismatch,
+)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -311,6 +318,23 @@ def test_inverse_and_fractional():
             a = rand_ideal(rng, ring, 4)
             prod = rg.FractionalIdeal(a, 1) * a.inverse()
             assert prod == rg.FractionalIdeal(rg.Ideal.unit(ring), 1)
+
+
+def test_non_integer_coordinates_are_rejected():
+    # int() would read 1.7 as 1 and True as 1, giving the unit ideal
+    for gens in ([(1.7,)], [(True,)], [(2, 1.0)], [(False, 3)]):
+        ring = Z if len(gens[0]) == 1 else ZI
+        with pytest.raises(ElementNotInModule):
+            rg.Ideal.from_generators(ring, gens)
+    assert issubclass(ElementNotInModule, InputError)
+    assert rg.Ideal.from_generators(Z, [(7,)]).hnf == ((7,),)
+
+
+def test_non_integral_fractional_ideal_is_internal():
+    half = rg.FractionalIdeal(rg.Ideal.unit(ZI), 2)
+    assert not half.is_integral()
+    with pytest.raises(NonIntegralQuotient):
+        half.to_integral()
 
 
 def test_least_integer():

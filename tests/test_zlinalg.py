@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from dedarr import zlinalg as zl
+from dedarr.errors import CertificateFailure
 
 
 def rand_matrix(rng, m, n, bound=6):
@@ -181,3 +184,12 @@ def test_coset_reps_counts_and_distinct():
         assert len(reps) == abs(det)
         canon = {tuple(zl.reduce_mod(r, sb, list(range(n)))) for r in reps}
         assert len(canon) == len(reps)
+
+
+def test_coset_reps_checks_its_lattices():
+    # both are internal faults, not bad input: the lattices come from the
+    # library's own refinement
+    with pytest.raises(CertificateFailure):
+        zl.coset_reps([[1, 0], [0, 1]], [[2, 0], [0, 2]])
+    with pytest.raises(CertificateFailure):
+        zl.coset_reps([[2, 0]], [[1, 0], [0, 1]])
