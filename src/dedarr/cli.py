@@ -96,6 +96,8 @@ def cmd_layers(args, out):
         kappa = _parse_ideal(A.ring, args.kappa)
     chosen = (P.kappa_subposet(kappa) if kappa is not None
               else range(len(P.layers)))
+    # the diagram may exceed its budget: fail before printing anything
+    text = P.hasse_dot(kappa) if args.dot else None
     by_dim = {}
     for i in chosen:
         z = P.layers[i]
@@ -109,7 +111,6 @@ def cmd_layers(args, out):
         out.write(f"  {P.representative_string(z)} | "
                   f"{format_factored(z.tau)} | mu={z.mu} | dim={z.dim}\n")
     if args.dot:
-        text = P.hasse_dot(kappa)
         if args.dot == "-":
             out.write(text)
         else:

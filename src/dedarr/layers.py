@@ -18,11 +18,12 @@ import math
 from fractions import Fraction
 
 from . import zlinalg as zl
-from .errors import CertificateFailure, ExponentTooLarge
+from .errors import BudgetExceeded, CertificateFailure, ExponentTooLarge
 from .quasipoly import QuasiPolynomial
 from .ring import Ideal, format_factored
 
 LAYER_BUDGET = 5 * 10 ** 6
+HASSE_BUDGET = 10 ** 9  # cover tests: the cube of the chosen-layer count
 
 
 class Flat:
@@ -98,6 +99,8 @@ class FlatLattice:
         mob = self._mobius_on((1 << A.n) - 1)
         self.mobius = [mob[i] for i in range(len(self.flats))]
         self._sub_top = {}
+        self._span = {}
+        self._covered = None
 
     def _register(self, level, flat):
         """Record flat as X cap H_i for every X of the level inside it."""
@@ -132,6 +135,27 @@ class FlatLattice:
         self.flats.append(flat)
         self._by_key[key] = fid
         return fid
+
+    def span(self, col_bits):
+        """Id of the flat cut out by the hyperplanes in col_bits."""
+        fid = self._span.get(col_bits)
+        if fid is None:
+            fid = 0
+            rest = col_bits & ~self.flats[0].Jbits
+            while rest:
+                low = rest & -rest
+                fid = self.child[(fid, low.bit_length() - 1)]
+                rest &= ~self.flats[fid].Jbits
+            self._span[col_bits] = fid
+        return fid
+
+    def covered(self, fid):
+        """Ids of the flats that the flat fid covers, read off child."""
+        if self._covered is None:
+            self._covered = {}
+            for (xid, _), yid in self.child.items():
+                self._covered.setdefault(yid, {})[xid] = None
+        return self._covered.get(fid, ())
 
     def _mobius_on(self, col_bits):
         """Moebius values on the flats of the sub-arrangement on col_bits.
@@ -221,19 +245,20 @@ class Layer:
 class _Refinement:
     """Solver data for intersecting layers of one flat with one subgroup.
 
-    The caller passes M = lam_basis * colmat.  Its invariant factors come
-    from gcds of its entries and 2x2 minors; the Smith transforms U, V are
-    computed only when coset representatives or a nonzero layer need them.
+    The caller passes M = lam_basis * colmat and the number of cosets of
+    the child lattice in the homogeneous solutions.  The invariant factors
+    of M come from gcds of its entries and 2x2 minors; the Smith
+    transforms U, V are computed only when coset representatives or a
+    nonzero layer need them.
     """
 
-    __slots__ = ("child", "lam_child", "pivots_child", "basis", "colmat",
+    __slots__ = ("lam_child", "pivots_child", "basis", "colmat",
                  "M", "V", "U", "diag", "steps", "reps", "m")
 
     def __init__(self, lam_basis, lam_child, pivots_child, colmat, M, m,
-                 child):
+                 cosets):
         D = len(lam_basis)
         deg = len(colmat[0])
-        self.child = child
         self.lam_child = lam_child
         self.pivots_child = pivots_child
         self.basis = lam_basis
@@ -241,20 +266,9 @@ class _Refinement:
         self.m = m
         self.M = M
         self.U = self.V = None
-        self.diag = zl.small_snf_diagonal(self.M)
+        self.diag = zl.small_snf_diagonal(M)
         self.steps = [m // math.gcd(d, m) for d in self.diag]
-        # the homogeneous solutions form a lattice between the child
-        # lattice and the parent one; its index in the child lattice is
-        # read off determinants, so the common single-coset case needs no
-        # normal form at all
-        det_parent = 1
-        det_child = 1
-        for i in range(D):
-            det_parent *= lam_basis[i][i]
-            det_child *= lam_child[i][i]
-        for s in self.steps:
-            det_parent *= s
-        if det_parent == det_child:
+        if cosets == 1:
             self.reps = [[0] * D]
         else:
             U, _ = self._transforms()
@@ -269,6 +283,9 @@ class _Refinement:
             sol_basis, _ = zl.hnf(hom_y)
             self.reps = zl.coset_reps([list(r) for r in lam_child],
                                       sol_basis)
+            if len(self.reps) != cosets:
+                raise CertificateFailure(
+                    "coset representatives disagree with the coset count")
 
     def _transforms(self):
         """(U, V) of the Smith form of M, checked against the gcd diagonal."""
@@ -387,12 +404,71 @@ class LayerPoset:
         idx = self.index.get(key)
         return None if idx is None else self.layers[idx]
 
+    def finders(self, z):
+        """(P, bits of j) for each refinement (X, j) that finds z from P.
+
+        (X, j) finds z from P = project(z, X) exactly when z's flat covers
+        X, j is in J(z) - J(X) and J(z) cap J(X) spans X.  Then J(P) is
+        J(z) cap J(X), since the column of any i in J(X) is constant on P,
+        and every layer's J spans its flat.  P is None only if a layer
+        that must exist is missing.
+        """
+        lattice = self.lattice
+        for xid in lattice.covered(z.flat_id):
+            x_bits = lattice.flats[xid].Jbits
+            common = z.Jbits & x_bits
+            if common == x_bits or lattice.span(common) == xid:
+                yield self.project(z, xid), z.Jbits & ~x_bits
+
     def leq(self, a, b):
         """a <= b in the poset, i.e. the layer a contains the layer b."""
         fa, fb = self.flat(a), self.flat(b)
         if fa.Jbits & fb.Jbits != fa.Jbits:
             return False
         return self.canon(a.flat_id, b.y) == a.y
+
+    # -- construction --
+
+    def tau(self, flat_id, y):
+        """Annihilator ideal of the coset of y modulo the flat's lattice."""
+        ring = self.arrangement.ring
+        deg = ring.degree
+        rows = [list(y)]
+        if deg == 2:
+            rows.append([c for i in range(0, len(y), 2)
+                         for c in ring.omega_mul((y[i], y[i + 1]))])
+        basis, _ = self.lam(flat_id)
+        ker = zl.left_kernel(rows + [list(r) for r in basis])
+        hb, _ = zl.hnf([k[:deg] for k in ker])
+        if len(hb) < deg:
+            raise CertificateFailure("annihilator lattice is rank deficient")
+        return Ideal(ring, hb)
+
+    def add_layer(self, flat_id, y, budget=LAYER_BUDGET):
+        """Append the layer y of the flat; None if known or not torsion."""
+        key = (flat_id, y)
+        if key in self.index:
+            return None
+        tau = self.tau(flat_id, y)
+        if not tau.contains_ideal(self.period):
+            return None  # not period-torsion: outside this poset
+        lattice, m = self.lattice, self.m
+        deg = self.arrangement.ring.degree
+        flat = lattice.flats[flat_id]
+        yc = zl.vec_mat(y, lattice.C)
+        jset = {j for j in flat.J
+                if all(x % m == 0 for x in yc[deg * j: deg * (j + 1)])}
+        bits = 0
+        for j in jset:
+            bits |= 1 << j
+        z = Layer(len(self.layers), flat_id, y, frozenset(jset), bits,
+                  tau, flat.dim)
+        self.layers.append(z)
+        self.index[key] = z.index
+        if len(self.layers) > budget:
+            raise ExponentTooLarge(
+                f"layer count exceeded the budget of {budget}")
+        return z
 
     # -- Moebius values --
 
@@ -449,12 +525,21 @@ class LayerPoset:
                 coords.append(f"{core}/{den}")
         return "(" + ", ".join(coords) + ")"
 
-    def hasse_dot(self, kappa=None):
-        """Deterministic DOT digraph of the (restricted) poset."""
+    def hasse_dot(self, kappa=None, budget=HASSE_BUDGET):
+        """Deterministic DOT digraph of the (restricted) poset.
+
+        The cover test runs over triples of chosen layers, so a cube of
+        the chosen-layer count past the budget raises before any work.
+        """
         if kappa is None:
             chosen = list(range(len(self.layers)))
         else:
             chosen = self.kappa_subposet(kappa)
+        if len(chosen) ** 3 > budget:
+            raise BudgetExceeded(
+                f"a Hasse diagram of {len(chosen)} layers needs "
+                f"{len(chosen) ** 3} cover tests, over the budget of "
+                f"{budget}")
         nodes = sorted(
             chosen,
             key=lambda i: (-self.layers[i].dim,
@@ -499,64 +584,43 @@ def layer_poset(A, period=None, budget=LAYER_BUDGET):
     poset; a proper divisor of it builds the corresponding torsion
     subposet, which is the poset of the arrangement over the localized
     ring whose dead primes were stripped from the period.
+
+    The layers of each level are the components of P cap H_j, for P a
+    layer of a flat X of the level above and j outside J(X).  The pair
+    (X, j) finds the layer L from P = project(L, X) exactly when j is in
+    J(L) and J(L) cap J(X) spans X (``LayerPoset.finders``), so each new
+    layer is recorded at those (X, P) under the bits J(L) - J(X).  For
+    one (X, j), every P cap H_j has the same number of components, read
+    off the image of X under column j; a parent layer with that many
+    layers recorded for j can find nothing new and is not solved, and the
+    refinement is built only when some parent layer is left.
     """
     from .charquasi import lcm_period
-    ring = A.ring
     if period is None:
         period = lcm_period(A)
     m = period.least_integer()
     lattice = FlatLattice(A)
     D = lattice.D
-    deg = ring.degree
+    deg = A.ring.degree
     poset = LayerPoset(A, period, lattice, m, [], {})
-
-    omega_rows = None
-    if deg == 2:
-        t, nn = ring.omega_trace, ring.omega_norm
-        omega_rows = (t, nn)
-
-    def omega_apply(y):
-        out = [0] * D
-        for i in range(0, D, 2):
-            a, b = y[i], y[i + 1]
-            out[i] = -omega_rows[1] * b
-            out[i + 1] = a + omega_rows[0] * b
-        return out
-
-    def tau_of(flat_id, y):
-        basis, _ = poset.lam(flat_id)
-        rows = [list(y)]
-        if deg == 2:
-            rows.append(omega_apply(y))
-        stacked = rows + [list(r) for r in basis]
-        ker = zl.left_kernel(stacked)
-        proj = [k[:deg] for k in ker]
-        hb, _ = zl.hnf(proj)
-        if len(hb) < deg:
-            raise AssertionError("annihilator lattice is rank deficient")
-        return Ideal(ring, hb)
+    # parent index -> (for each j, how many recorded layers (its flat, j)
+    # finds from it; the recorded (bits of j, layer) pairs)
+    found = {}
 
     def add_layer(flat_id, y):
-        key = (flat_id, y)
-        if key in poset.index:
-            return None
-        tau = tau_of(flat_id, y)
-        if not tau.contains_ideal(period):
-            return None  # not period-torsion: outside this poset
-        flat = lattice.flats[flat_id]
-        yc = zl.vec_mat(y, lattice.C)
-        jset = {j for j in flat.J
-                if all(x % m == 0 for x in yc[deg * j: deg * (j + 1)])}
-        bits = 0
-        for j in jset:
-            bits |= 1 << j
-        z = Layer(len(poset.layers), flat_id, y, frozenset(jset), bits,
-                  tau, flat.dim)
-        poset.layers.append(z)
-        poset.index[key] = z.index
-        if len(poset.layers) > budget:
-            raise ExponentTooLarge(
-                f"layer count exceeded the budget of {budget}")
+        z = poset.add_layer(flat_id, y, budget)
+        if z is not None:
+            for parent, rest in poset.finders(z):
+                if parent is None:
+                    raise CertificateFailure(
+                        f"a projection of layer {z.index} is no layer")
+                counts, recorded = found.setdefault(parent.index,
+                                                    ([0] * A.n, []))
+                recorded.append((rest, z))
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    counts[low.bit_length() - 1] += 1
         return z
 
     zero = (0,) * D
@@ -570,21 +634,45 @@ def layer_poset(A, period=None, budget=LAYER_BUDGET):
             if not ys:
                 continue
             lam_basis, _ = poset.lam(flat.id)
-            prod = zl.mat_mul(lam_basis, lattice.C)
+            images = zl.mat_mul(flat.lat, lattice.C)
+            parents = [poset.index[(flat.id, y)] for y in ys]
             for j in range(A.n):
                 if j in flat.J:
                     continue
-                # each flat sits in one codim level, so every (flat, j)
-                # refinement is built and used exactly once
                 child = lattice.child[(flat.id, j)]
+                # P cap H_j has one component per coset of the child
+                # lattice in the homogeneous solutions S, for every P.
+                # Lam_X / Lam_child is I / m I, of order m^deg, for the
+                # image I of L_X under column j, and Lam_X / S is
+                # (I + m Z^deg) / m Z^deg; so the count is the index of
+                # I + m Z^deg in Z^deg, the product of gcd(e, m) over
+                # the invariant factors e of I
+                image = [row[deg * j: deg * (j + 1)] for row in images]
+                cosets = math.prod(math.gcd(e, m)
+                                   for e in zl.small_snf_diagonal(image))
+                todo = []
+                for y, parent in zip(ys, parents):
+                    counts, recorded = found.get(parent, (None, ()))
+                    if counts is None or counts[j] < cosets:
+                        todo.append((y, recorded))
+                if not todo:
+                    continue
                 lam_child, pivots_child = poset.lam(child)
-                M = [row[deg * j: deg * (j + 1)] for row in prod]
+                colmat = lattice.colmats[j]
                 refine = _Refinement(lam_basis, lam_child, pivots_child,
-                                     lattice.colmats[j], M, m, child)
-                for y in ys:
-                    for y_new in refine.solve(list(y)):
-                        z = add_layer(child, y_new)
-                        if z is not None:
+                                     colmat, zl.mat_mul(lam_basis, colmat),
+                                     m, cosets)
+                for y, recorded in todo:
+                    outs = refine.solve(list(y))
+                    for bits, z in recorded:
+                        if bits >> j & 1 and (z.flat_id != child
+                                              or z.y not in outs):
+                            raise CertificateFailure(
+                                f"layer {z.index} is recorded as found by "
+                                f"flat {flat.id} and hyperplane {j}, but "
+                                "is not among the components they cut")
+                    for y_new in outs:
+                        if add_layer(child, y_new) is not None:
                             next_by_flat.setdefault(child, []).append(y_new)
         by_flat = next_by_flat
     poset.fill_mobius()

@@ -163,11 +163,14 @@ def _check_same_ring(a, b):
 class Ideal:
     """A nonzero ideal of the ring, as an HNF integer lattice."""
 
-    __slots__ = ("ring", "hnf", "_pivots", "_norm")
+    __slots__ = ("ring", "hnf", "_pivots", "_norm", "_smaller", "_prime")
 
     def __init__(self, ring, hnf_rows):
         self.ring = ring
         self.hnf = tuple(tuple(r) for r in hnf_rows)
+        # set when the ideal was built as _smaller * _prime, the prime no
+        # smaller than any prime of _smaller: factor() reads them back
+        self._smaller = self._prime = None
         self._pivots = list(range(ring.degree))
         self._norm = 1
         for i in range(ring.degree):
@@ -333,6 +336,14 @@ class Ideal:
     def factor(self):
         """Prime factorization, deterministically ordered."""
         ring = self.ring
+        if self._prime is not None:
+            exps = {}
+            ideal = self
+            while ideal._prime is not None:
+                exps[ideal._prime] = exps.get(ideal._prime, 0) + 1
+                ideal = ideal._smaller
+            # the primes were multiplied in sorted order
+            return PrimeFactorization(ring, tuple(reversed(exps.items())))
         if self.is_unit_ideal():
             return PrimeFactorization(ring, ())
         factors = {}
@@ -634,12 +645,16 @@ def ideals_of_norm_up_to(ring, bound):
     result = []
 
     def extend(ideal, start):
-        # each ideal is one non-decreasing sequence of prime indices
+        # each ideal is one non-decreasing sequence of prime indices, which
+        # it keeps as its factorization; a prime is its own first step
         result.append(ideal)
         for i in range(start, len(primes)):
-            if ideal.norm * primes[i].norm > bound:
+            prime = primes[i]
+            if ideal.norm * prime.norm > bound:
                 break
-            extend(ideal * primes[i], i)
+            product = ideal * prime if ideal.norm > 1 else prime
+            product._smaller, product._prime = ideal, prime
+            extend(product, i)
 
     extend(Ideal.unit(ring), 0)
     return sorted(result, key=Ideal.sort_key)

@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
 from dedarr import charquasi as cq
+from dedarr import layers as ly
 from dedarr import ring as rg
+from dedarr import zlinalg as zl
 
 
 @pytest.fixture(scope="session")
@@ -67,3 +71,61 @@ def mobius_by_recursion(P):
                 s += mu[w.index]
         mu[z.index] = -s
     return mu
+
+
+def exhaustive_layer_poset(A, period=None, finds=None):
+    """The layer poset by solving every (flat, j) pair at every parent.
+
+    The loop ``layers.layer_poset`` ran before it skipped the refinements
+    that can find nothing new; the skipping must keep its discovery order,
+    so the layer ids and digests agree.  With a set ``finds``, every
+    (flat id X, j, parent index, layer index) whose solve yields a layer
+    is added to it.
+    """
+    if period is None:
+        period = cq.lcm_period(A)
+    m = period.least_integer()
+    lattice = ly.FlatLattice(A)
+    P = ly.LayerPoset(A, period, lattice, m, [], {})
+
+    def det(basis):
+        return math.prod(basis[i][i] for i in range(lattice.D))
+
+    zero = (0,) * lattice.D
+    P.add_layer(0, zero)
+    by_flat = {0: [zero]}
+    for codim in range(A.ell):
+        next_by_flat = {}
+        for flat in [f for f in lattice.flats if f.codim == codim]:
+            ys = by_flat.get(flat.id)
+            if not ys:
+                continue
+            lam_basis, _ = P.lam(flat.id)
+            for j in range(A.n):
+                if j in flat.J:
+                    continue
+                child = lattice.child[(flat.id, j)]
+                lam_child, pivots_child = P.lam(child)
+                colmat = lattice.colmats[j]
+                M = zl.mat_mul(lam_basis, colmat)
+                steps = math.prod(m // math.gcd(d, m)
+                                  for d in zl.small_snf_diagonal(M))
+                cosets = det(lam_child) // (det(lam_basis) * steps)
+                refine = ly._Refinement(lam_basis, lam_child, pivots_child,
+                                        colmat, M, m, cosets)
+                for y in ys:
+                    for y_new in refine.solve(list(y)):
+                        if P.add_layer(child, y_new) is not None:
+                            next_by_flat.setdefault(child, []).append(y_new)
+                        if finds is not None and (child, y_new) in P.index:
+                            finds.add((flat.id, j, P.index[(flat.id, y)],
+                                       P.index[(child, y_new)]))
+        by_flat = next_by_flat
+    P.fill_mobius()
+    return P
+
+
+def layer_digest(P):
+    """(index, flat, y, J, tau, mu) of every layer, in order."""
+    return [(z.index, z.flat_id, z.y, z.J, z.tau.hnf, z.mu)
+            for z in P.layers]

@@ -104,6 +104,30 @@ def test_verify(gaussian_file):
     assert "0 mismatches" in text
 
 
+def test_verify_prints_fresh_factorizations(gaussian_file):
+    # each ideal keeps the primes it was built from; the printed forms
+    # must be those of a factorization from scratch, byte for byte
+    from dedarr import ring as rg
+    ZI = rg.quadratic(-1)
+    rc, text = run(["verify", gaussian_file, "--max-norm", "40"])
+    assert rc == 0
+    heads = [line.split(":")[0] for line in text.splitlines()[:-1]]
+    fresh = [f"N={a.norm} {rg.format_factored(rg.Ideal(ZI, a.hnf))}"
+             for a in rg.ideals_of_norm_up_to(ZI, 40)]
+    assert heads == fresh
+
+
+def test_layers_dot_over_budget_prints_nothing(tmp_path):
+    # 1002 layers: the cover test's cube passes the Hasse budget of 10^9
+    path = tmp_path / "thousand.json"
+    path.write_text(json.dumps({"ring": {"type": "Z"},
+                                "columns": [[1001]]}))
+    rc, text = run(["layers", str(path), "--dot", "-"])
+    assert rc == 3 and text == ""
+    rc, text = run(["layers", str(path)])
+    assert rc == 0 and "layers: 1002" in text
+
+
 def test_verify_default_bound_finishes(tmp_path):
     # ell = 1: the bound follows the oracle budget, sum N(a) <= 10^7
     path = tmp_path / "three.json"

@@ -9,8 +9,8 @@ from dedarr import modstruct as ms
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import (flats_above, mobius_by_recursion,
-                      rand_small_arrangement)
+from conftest import (exhaustive_layer_poset, flats_above, layer_digest,
+                      mobius_by_recursion, rand_small_arrangement)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -85,6 +85,106 @@ def test_children_are_direct_intersections():
         for _ in range(10):
             check_children(rand_small_arrangement(rng, ring, ell_max=4,
                                                   n_max=6, bound=2))
+
+
+def small_period_arrangements(rng, per_ring):
+    """Random arrangements with ell <= 4 whose period has norm <= 1000."""
+    cases = []
+    for ring in (Z, ZI, Z5, ZT):
+        found = 0
+        while found < per_ring:
+            A = rand_small_arrangement(rng, ring, ell_max=4, n_max=6,
+                                       bound=2)
+            if cq.lcm_period(A).norm <= 1000:
+                cases.append(A)
+                found += 1
+    return cases
+
+
+def check_finding_rule(A):
+    # solve every (X, j, P) the old way: (X, j) finds L iff j is in J(L)
+    # and J(L) cap J(X) spans X, and finders names exactly those triples
+    finds = set()
+    P = exhaustive_layer_poset(A, finds=finds)
+    rule = set()
+    refused = 0
+    for z in P.layers:
+        flat = P.flat(z)
+        for x in P.lattice.flats:
+            if x.codim != flat.codim - 1 or x.Jbits & flat.Jbits != x.Jbits:
+                continue
+            common = sorted(z.J & x.J)
+            rank = ms.rank_over_K(A.coeff_matrix(common)) if common else 0
+            parent = P.project(z, x.id)
+            if rank != x.codim:
+                assert parent is None  # J(parent) would not span X
+                refused += 1
+                continue
+            rule |= {(x.id, j, parent.index, z.index) for j in z.J - x.J}
+    assert finds == rule
+    named = {(w.flat_id, j, w.index, z.index)
+             for z in P.layers for w, bits in P.finders(z)
+             for j in range(A.n) if bits >> j & 1}
+    assert named == rule
+    return P, finds, refused
+
+
+def test_layers_found_by_the_rule():
+    # the layer (1/3, 1/3) has J = {1, 2}; its projection to ker c_0 is
+    # no layer, so only the pairs from ker c_1 and ker c_2 find it
+    A = cq.Arrangement(Z, [[(1,), (1,)], [(1,), (2,)], [(2,), (1,)]])
+    P, finds, refused = check_finding_rule(A)
+    third = [z for z in P.layers
+             if P.representative_string(z) == "(1/3, 1/3)"]
+    assert len(third) == 1 and third[0].J == frozenset({1, 2})
+    from_flats = {P.lattice.flats[x].J
+                  for x, _, _, i in finds if i == third[0].index}
+    assert from_flats == {frozenset({1}), frozenset({2})}
+    h4 = rootsys.builtin("H4").arrangement
+    for A in (rootsys.builtin("H3").arrangement,
+              cq.Arrangement(h4.ring, h4.columns[:24])):
+        refused += check_finding_rule(A)[2]
+    for A in small_period_arrangements(random.Random(69), 8):
+        refused += check_finding_rule(A)[2]
+    assert refused >= 1000
+
+
+def test_layer_poset_matches_exhaustive_loop():
+    # skipping refinements keeps the discovery order: the same layer ids,
+    # also for torsion subposets, where fewer skips fire
+    h4 = rootsys.builtin("H4").arrangement
+    cases = [rootsys.builtin("H2").arrangement,
+             rootsys.builtin("H3").arrangement,
+             cq.Arrangement(h4.ring, h4.columns[:24])]
+    cases += small_period_arrangements(random.Random(70), 6)
+    for A in cases:
+        P = ly.layer_poset(A)
+        assert layer_digest(P) == layer_digest(exhaustive_layer_poset(A))
+        for kappa in P.period.divisors()[:-1]:
+            assert (layer_digest(ly.layer_poset(A, period=kappa))
+                    == layer_digest(exhaustive_layer_poset(A, kappa)))
+        gens = [A.ring.from_int(2), A.ring.from_int(3)]
+        stripped, _ = cq.strip_primes(cq.lcm_period(A), gens)
+        assert (layer_digest(ly.localized_layer_poset(A, gens))
+                == layer_digest(exhaustive_layer_poset(A, stripped)))
+
+
+def test_wrong_layer_registration_is_caught(monkeypatch):
+    # recording a layer under the flat's J instead of its own claims that
+    # pairs find it which do not; a solved parent must refuse the claim
+    from dedarr.errors import CertificateFailure
+    right = ly.LayerPoset.finders
+
+    def wrong(self, z):
+        for w, _ in right(self, z):
+            yield w, self.flat(z).Jbits & ~self.flat(w).Jbits
+
+    A = cq.Arrangement(Z, [[(1,), (0,)], [(0,), (3,)], [(1,), (1,)],
+                           [(2,), (-1,)]])
+    assert len(ly.layer_poset(A).layers) == 15
+    monkeypatch.setattr(ly.LayerPoset, "finders", wrong)
+    with pytest.raises(CertificateFailure):
+        ly.layer_poset(A)
 
 
 def test_unregistered_known_flat_is_caught(monkeypatch):
@@ -340,6 +440,23 @@ def test_hasse_dot(gaussian_arrangement, nonprincipal_arrangement):
     assert len(nodes3) == 1 and not edges3
 
     assert dot == P.hasse_dot()  # deterministic
+
+
+def test_hasse_dot_budget(nonprincipal_arrangement):
+    # the cover test is cubic in the chosen layers: the budget bounds the
+    # cube before any work, also for a torsion subposet
+    from dedarr.errors import BudgetExceeded
+    P = ly.layer_poset(nonprincipal_arrangement)
+    assert P.hasse_dot(budget=5 ** 3) == P.hasse_dot()
+    with pytest.raises(BudgetExceeded):
+        P.hasse_dot(budget=5 ** 3 - 1)
+    assert "->" in P.hasse_dot(P5, budget=3 ** 3)
+    with pytest.raises(BudgetExceeded):
+        P.hasse_dot(P5, budget=3 ** 3 - 1)
+    big = ly.layer_poset(cq.Arrangement(Z, [[(1001,)]]))
+    assert len(big.layers) ** 3 > ly.HASSE_BUDGET
+    with pytest.raises(BudgetExceeded):
+        big.hasse_dot()
 
 
 def test_localized_poset_matches_torsion_subposet():

@@ -407,6 +407,18 @@ def test_ideals_of_norm_up_to():
     assert sorted(set(norms)) == [1, 4, 5, 9, 11, 16, 19, 20]
 
 
+def test_ideals_of_norm_up_to_keep_their_factorization():
+    # the factorization each ideal is built from is the one factor()
+    # computes from scratch on an ideal with the same HNF
+    for ring in RINGS:
+        for a in rg.ideals_of_norm_up_to(ring, 200):
+            kept = a.factor()
+            fresh = rg.Ideal(ring, a.hnf).factor()
+            assert kept.factors == fresh.factors, a
+            assert rg.format_factored(a) == rg.format_factored(fresh)
+            assert kept.product() == a
+
+
 def test_ring_mismatch_raises():
     with pytest.raises(RingMismatch):
         P5 + rg.Ideal.principal(ZI, (2, 0))
