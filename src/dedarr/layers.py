@@ -152,9 +152,10 @@ class FlatLattice:
     def covered(self, fid):
         """Ids of the flats that the flat fid covers, read off child."""
         if self._covered is None:
-            self._covered = {}
+            covered = {}
             for (xid, _), yid in self.child.items():
-                self._covered.setdefault(yid, {})[xid] = None
+                covered.setdefault(yid, {})[xid] = None
+            self._covered = {yid: tuple(xs) for yid, xs in covered.items()}
         return self._covered.get(fid, ())
 
     def _mobius_on(self, col_bits):
@@ -525,21 +526,21 @@ class LayerPoset:
                 coords.append(f"{core}/{den}")
         return "(" + ", ".join(coords) + ")"
 
-    def hasse_dot(self, kappa=None, budget=HASSE_BUDGET):
+    def hasse_dot(self, kappa=None):
         """Deterministic DOT digraph of the (restricted) poset.
 
         The cover test runs over triples of chosen layers, so a cube of
-        the chosen-layer count past the budget raises before any work.
+        the chosen-layer count past HASSE_BUDGET raises before any work.
         """
         if kappa is None:
             chosen = list(range(len(self.layers)))
         else:
             chosen = self.kappa_subposet(kappa)
-        if len(chosen) ** 3 > budget:
+        if len(chosen) ** 3 > HASSE_BUDGET:
             raise BudgetExceeded(
                 f"a Hasse diagram of {len(chosen)} layers needs "
                 f"{len(chosen) ** 3} cover tests, over the budget of "
-                f"{budget}")
+                f"{HASSE_BUDGET}")
         nodes = sorted(
             chosen,
             key=lambda i: (-self.layers[i].dim,
@@ -627,6 +628,8 @@ def layer_poset(A, period=None, budget=LAYER_BUDGET):
     add_layer(0, zero)
     by_flat = {0: [zero]}
     for codim in range(A.ell):
+        # layers are recorded only at parents of the level being refined
+        found.clear()
         level_flats = [f for f in lattice.flats if f.codim == codim]
         next_by_flat = {}
         for flat in level_flats:
@@ -634,22 +637,23 @@ def layer_poset(A, period=None, budget=LAYER_BUDGET):
             if not ys:
                 continue
             lam_basis, _ = poset.lam(flat.id)
-            images = zl.mat_mul(flat.lat, lattice.C)
+            det_basis = math.prod(lam_basis[i][i] for i in range(D))
+            prod = zl.mat_mul(lam_basis, lattice.C)
             parents = [poset.index[(flat.id, y)] for y in ys]
             for j in range(A.n):
                 if j in flat.J:
                     continue
                 child = lattice.child[(flat.id, j)]
+                lam_child, pivots_child = poset.lam(child)
+                M = [row[deg * j: deg * (j + 1)] for row in prod]
                 # P cap H_j has one component per coset of the child
-                # lattice in the homogeneous solutions S, for every P.
-                # Lam_X / Lam_child is I / m I, of order m^deg, for the
-                # image I of L_X under column j, and Lam_X / S is
-                # (I + m Z^deg) / m Z^deg; so the count is the index of
-                # I + m Z^deg in Z^deg, the product of gcd(e, m) over
-                # the invariant factors e of I
-                image = [row[deg * j: deg * (j + 1)] for row in images]
-                cosets = math.prod(math.gcd(e, m)
-                                   for e in zl.small_snf_diagonal(image))
+                # lattice in the homogeneous solutions, the same number
+                # for every parent layer P; the index is read off
+                # determinants and the gcd diagonal of M
+                steps = math.prod(m // math.gcd(d, m)
+                                  for d in zl.small_snf_diagonal(M))
+                cosets = (math.prod(lam_child[i][i] for i in range(D))
+                          // (det_basis * steps))
                 todo = []
                 for y, parent in zip(ys, parents):
                     counts, recorded = found.get(parent, (None, ()))
@@ -657,11 +661,8 @@ def layer_poset(A, period=None, budget=LAYER_BUDGET):
                         todo.append((y, recorded))
                 if not todo:
                     continue
-                lam_child, pivots_child = poset.lam(child)
-                colmat = lattice.colmats[j]
                 refine = _Refinement(lam_basis, lam_child, pivots_child,
-                                     colmat, zl.mat_mul(lam_basis, colmat),
-                                     m, cosets)
+                                     lattice.colmats[j], M, m, cosets)
                 for y, recorded in todo:
                     outs = refine.solve(list(y))
                     for bits, z in recorded:

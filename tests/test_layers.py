@@ -442,17 +442,23 @@ def test_hasse_dot(gaussian_arrangement, nonprincipal_arrangement):
     assert dot == P.hasse_dot()  # deterministic
 
 
-def test_hasse_dot_budget(nonprincipal_arrangement):
+def test_hasse_dot_budget(nonprincipal_arrangement, monkeypatch):
     # the cover test is cubic in the chosen layers: the budget bounds the
     # cube before any work, also for a torsion subposet
     from dedarr.errors import BudgetExceeded
     P = ly.layer_poset(nonprincipal_arrangement)
-    assert P.hasse_dot(budget=5 ** 3) == P.hasse_dot()
+    full = P.hasse_dot()
+    monkeypatch.setattr(ly, "HASSE_BUDGET", 5 ** 3)
+    assert P.hasse_dot() == full
+    monkeypatch.setattr(ly, "HASSE_BUDGET", 5 ** 3 - 1)
     with pytest.raises(BudgetExceeded):
-        P.hasse_dot(budget=5 ** 3 - 1)
-    assert "->" in P.hasse_dot(P5, budget=3 ** 3)
+        P.hasse_dot()
+    monkeypatch.setattr(ly, "HASSE_BUDGET", 3 ** 3)
+    assert "->" in P.hasse_dot(P5)
+    monkeypatch.setattr(ly, "HASSE_BUDGET", 3 ** 3 - 1)
     with pytest.raises(BudgetExceeded):
-        P.hasse_dot(P5, budget=3 ** 3 - 1)
+        P.hasse_dot(P5)
+    monkeypatch.undo()
     big = ly.layer_poset(cq.Arrangement(Z, [[(1001,)]]))
     assert len(big.layers) ** 3 > ly.HASSE_BUDGET
     with pytest.raises(BudgetExceeded):
