@@ -14,12 +14,11 @@ from .layers import (
 )
 from .oracle import brute_count_complement, brute_count_kernel
 from .quasipoly import QuasiPolynomial
-from .ring import FractionalIdeal, Ideal, Ring, quadratic, rational_integers
+from .ring import Ideal, Ring, quadratic, rational_integers
 from .rootsys import builtin
 
 __all__ = [
     "Arrangement",
-    "FractionalIdeal",
     "Ideal",
     "QuasiPolynomial",
     "Ring",

@@ -107,7 +107,8 @@ def arrangement_from_json(data):
         raise InvalidArrangement('missing "ring" or "columns"')
     try:
         ring = ring_from_json(data["ring"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # AttributeError: a ring literal that is not a JSON object
         raise InvalidArrangement(f"bad ring literal: {exc}") from None
     raw_cols = data["columns"]
     if not isinstance(raw_cols, list):
@@ -143,7 +144,8 @@ def parse_element_list(ring, text):
     """Parse a JSON list of element literals into coordinate tuples."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past Python's digit limit
         raise InvalidArrangement(f"bad element list: {exc}") from None
     if not isinstance(data, list) or not data:
         raise InvalidArrangement("expected a nonempty JSON list of elements")
@@ -282,7 +284,7 @@ def lcm_period(A):
         e_prev = Ideal.from_generators(ring, smaller) if smaller else unit
         if e_top.is_unit_ideal() or e_top.contains_ideal(acc[0] * e_prev):
             return  # d already divides the accumulated lcm
-        d = (e_top * e_prev.inverse()).to_integral()
+        d = e_top / e_prev
         acc[0] = acc[0].intersect(d)
 
     def complete(cols):
@@ -534,7 +536,7 @@ def minimality_certificate(A, qp=None, poset=None):
     witnesses = {}
     divisors = rho.divisors()
     for p, _ in rho.factor():
-        reduced = (rho * p.inverse()).to_integral()
+        reduced = rho / p
         found = None
         for k1, k2 in combinations(divisors, 2):
             if (k1 + reduced) == (k2 + reduced) and \

@@ -40,6 +40,10 @@ def _load_arrangement(path):
         raise InputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from None
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer literal past Python's
+        # digit limit, which json reports as a plain ValueError
+        raise InputError(f"{path}: {exc}") from None
     return cq.arrangement_from_json(data)
 
 
@@ -272,9 +276,6 @@ def main(argv=None, out=None):
     try:
         return args.func(args, out)
     except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetError as exc:

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from . import zlinalg as zl
 from .errors import NonIntegralQuotient
-from .ring import FractionalIdeal, Ideal
+from .ring import Ideal
 
 
 class CoeffMatrix:
@@ -155,11 +155,7 @@ def invariant_factors(C):
     factors = []
     prev = Ideal.unit(ring)
     for e in ideals:
-        frac = FractionalIdeal(e, 1) * prev.inverse()
-        if not frac.is_integral():
-            raise NonIntegralQuotient(
-                "determinantal ideal quotient is not integral")
-        d = frac.to_integral()
+        d = e / prev
         if factors and not factors[-1].divides(d):
             raise NonIntegralQuotient("invariant factors fail to chain")
         factors.append(d)

@@ -114,19 +114,19 @@ class QuasiPolynomial:
         while changed:
             changed = False
             for p, _ in period.factor():
-                candidate = (period * p.inverse()).to_integral()
+                candidate = period / p
                 cand_divs = candidate.divisors()
                 # rho/p is a period iff constituents agree on fibers of
                 # kappa -> kappa + rho/p
                 ok = True
                 for kappa, coeffs in consts.items():
                     rep = kappa + candidate
-                    if consts[_find(consts, rep)] != coeffs:
+                    if consts[rep] != coeffs:
                         ok = False
                         break
                 if ok:
                     period = candidate
-                    consts = {k: consts[_find(consts, k)] for k in cand_divs}
+                    consts = {k: consts[k] for k in cand_divs}
                     changed = True
                     break
         return period, QuasiPolynomial(self.ring, period, consts)
@@ -167,13 +167,6 @@ class QuasiPolynomial:
         parts = ", ".join(
             f"{k!r}: {poly_to_str(v)}" for k, v in self.constituents.items())
         return f"QuasiPolynomial(period={self.period!r}, {{{parts}}})"
-
-
-def _find(consts, ideal):
-    # dict keys are canonical Ideal objects; direct hit expected
-    if ideal in consts:
-        return ideal
-    raise KeyError(f"no constituent for {ideal!r}")
 
 
 def ring_to_json(ring):

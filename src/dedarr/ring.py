@@ -26,18 +26,6 @@ FACTOR_BUDGET = 2 ** 63
 RESIDUE_BUDGET = 10 ** 7
 
 
-def _is_squarefree(d):
-    n = abs(d)
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        while n % f == 0:
-            n //= f
-        f += 1
-    return True
-
-
 @dataclass(frozen=True)
 class Ring:
     """The base domain: the rational integers or a maximal quadratic order."""
@@ -49,7 +37,8 @@ class Ring:
         if self.kind == "Z":
             object.__setattr__(self, "d", 0)
         elif self.kind == "quadratic":
-            if self.d in (0, 1) or not _is_squarefree(self.d):
+            if self.d in (0, 1) or any(
+                    e > 1 for e in _factor_int(abs(self.d)).values()):
                 raise ValueError(f"d must be squarefree and != 0, 1: {self.d}")
         else:
             raise ValueError(f"unknown ring kind: {self.kind}")
@@ -257,8 +246,6 @@ class Ideal:
         return Ideal(self.ring, basis)
 
     def __mul__(self, other):
-        if isinstance(other, FractionalIdeal):
-            return FractionalIdeal(self, 1) * other
         _check_same_ring(self, other)
         ring = self.ring
         rows = []
@@ -268,31 +255,34 @@ class Ideal:
         basis, _ = zl.hnf(rows)
         return Ideal(ring, basis)
 
-    def intersect(self, other):
+    def __truediv__(self, other):
+        """The ideal c with c * other = self; raises unless other | self."""
         _check_same_ring(self, other)
-        rows = zl.intersect([list(r) for r in self.hnf],
-                            [list(r) for r in other.hnf])
-        return Ideal(self.ring, rows)
+        ring = self.ring
+        n = other._norm
+        if ring.degree == 1:
+            q, rem = divmod(self.hnf[0][0], n)
+            rows = [[q]]
+        else:
+            # a maximal order has b * conj(b) = <N(b)>, so
+            # a * conj(b) = (a / b) * <N(b)>
+            prod, _ = zl.hnf([list(ring.mul(x, ring.conj(y)))
+                              for x in self.hnf for y in other.hnf])
+            rem = any(x % n for row in prod for x in row)
+            rows = [[x // n for x in row] for row in prod]
+        if rem:
+            raise NonIntegralQuotient(f"{other!r} does not divide {self!r}")
+        return Ideal(ring, rows)
+
+    def intersect(self, other):
+        """a cap b = lcm(a, b) = a * b / (a + b)."""
+        return self * other / (self + other)
 
     def conj(self):
         ring = self.ring
         rows = [list(ring.conj(r)) for r in self.hnf]
         basis, _ = zl.hnf(rows)
         return Ideal(ring, basis)
-
-    def inverse(self):
-        """The fractional-ideal inverse."""
-        if self.ring.degree == 1:
-            return FractionalIdeal(Ideal.unit(self.ring),
-                                   self.hnf[0][0]).reduced()
-        # in a maximal quadratic order, a * conj(a) = <N(a)>
-        return FractionalIdeal(self.conj(), self._norm).reduced()
-
-    def colon(self, k):
-        """(self : k) = {x : x*k inside self}, an integral ideal."""
-        _check_same_ring(self, k)
-        frac = FractionalIdeal(self, 1) * (k + self).inverse()
-        return frac.to_integral()
 
     def pow(self, e):
         result = Ideal.unit(self.ring)
@@ -366,55 +356,6 @@ class Ideal:
             powers = [p.pow(i) for i in range(e + 1)]
             divs = [d * q for d in divs for q in powers]
         return sorted(divs, key=Ideal.sort_key)
-
-
-class FractionalIdeal:
-    """An integral ideal scaled by 1/denominator."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator, denominator):
-        if denominator <= 0:
-            raise ValueError("denominator must be positive")
-        self.numerator = numerator
-        self.denominator = denominator
-
-    def reduced(self):
-        g = self.denominator
-        for row in self.numerator.hnf:
-            for x in row:
-                g = math.gcd(g, x)
-        if g == 1:
-            return self
-        rows = [[x // g for x in row] for row in self.numerator.hnf]
-        return FractionalIdeal(Ideal(self.numerator.ring, rows),
-                               self.denominator // g)
-
-    def is_integral(self):
-        return self.reduced().denominator == 1
-
-    def to_integral(self):
-        red = self.reduced()
-        if red.denominator != 1:
-            raise NonIntegralQuotient("fractional ideal is not integral")
-        return red.numerator
-
-    def __mul__(self, other):
-        if isinstance(other, Ideal):
-            other = FractionalIdeal(other, 1)
-        return FractionalIdeal(self.numerator * other.numerator,
-                               self.denominator * other.denominator).reduced()
-
-    def __eq__(self, other):
-        a, b = self.reduced(), other.reduced()
-        return a.numerator == b.numerator and a.denominator == b.denominator
-
-    def __hash__(self):
-        red = self.reduced()
-        return hash((red.numerator, red.denominator))
-
-    def __repr__(self):
-        return f"{self.numerator!r}/{self.denominator}"
 
 
 class PrimeFactorization:

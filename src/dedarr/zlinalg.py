@@ -176,26 +176,6 @@ def saturate(rows):
     return hnf(sat)[0]
 
 
-def intersect(rows_a, rows_b):
-    """Basis of the intersection of two row lattices."""
-    a = hnf(rows_a)[0]
-    b = hnf(rows_b)[0]
-    if not a or not b:
-        return []
-    stacked = [list(r) for r in a] + [[-x for x in r] for r in b]
-    ker = left_kernel(stacked)
-    la = len(a)
-    gens = []
-    for k in ker:
-        vec = [0] * len(a[0])
-        for i in range(la):
-            if k[i]:
-                for j in range(len(vec)):
-                    vec[j] += k[i] * a[i][j]
-        gens.append(vec)
-    return hnf(gens)[0]
-
-
 def _snf_work(rows, want_transforms):
     a = [list(r) for r in rows]
     m = len(a)

@@ -129,3 +129,24 @@ def layer_digest(P):
     """(index, flat, y, J, tau, mu) of every layer, in order."""
     return [(z.index, z.flat_id, z.y, z.J, z.tau.hnf, z.mu)
             for z in P.layers]
+
+
+def hasse_covers_by_triples(P, chosen):
+    """Cover pairs (i, k) among the chosen layers, by the definition.
+
+    zi covers zk when zi contains zk and no chosen layer lies strictly
+    between them.  The triple loop ``LayerPoset.hasse_dot`` ran before it
+    read covers off dimensions; its pair test is checked against this.
+    """
+    covers = set()
+    for i in chosen:
+        zi = P.layers[i]
+        for k in chosen:
+            zk = P.layers[k]
+            if zi.dim <= zk.dim or not P.leq(zi, zk):
+                continue
+            if not any(zk.dim < P.layers[t].dim < zi.dim
+                       and P.leq(zi, P.layers[t]) and P.leq(P.layers[t], zk)
+                       for t in chosen):
+                covers.add((i, k))
+    return covers

@@ -264,7 +264,7 @@ def test_criterion_8_minimality(gaussian_arrangement, gaussian_qp,
             primes = [p for p, _ in q.period.factor()]
             assert set(cert.witnesses) == set(primes)
             for p, (k1, k2) in cert.witnesses.items():
-                reduced = (q.period * p.inverse()).to_integral()
+                reduced = q.period / p
                 assert (k1 + reduced) == (k2 + reduced)
                 assert q.constituents[k1] != q.constituents[k2]
 
@@ -290,7 +290,8 @@ def test_criterion_9_localization(h3, h3_qp, h3_poset, h4_built):
         for kappa in survivors:
             assert local4.constituents[kappa] == h4_qp.constituents[kappa]
 
-        local_poset = ly.localized_layer_poset(h3.arrangement, [(2, 0)])
+        local_poset = ly.layer_poset(h3.arrangement,
+                                     period=view3.period)
         chosen = h3_poset.kappa_subposet(rg.Ideal.unit(ZT))
         expect = sorted((h3_poset.layers[i].dim, h3_poset.layers[i].mu,
                          h3_poset.layers[i].tau.hnf) for i in chosen)

@@ -270,7 +270,7 @@ def test_minimality_certificate(nonprincipal_arrangement):
     assert cert.period == PQ and cert.minimum == PQ
     assert set(cert.witnesses) == {P5, Q5}
     for p, (k1, k2) in cert.witnesses.items():
-        reduced = (PQ * p.inverse()).to_integral()
+        reduced = PQ / p
         assert (k1 + reduced) == (k2 + reduced)
 
     empty = cq.Arrangement.empty(Z5, 2)

@@ -118,7 +118,7 @@ def test_verify_prints_fresh_factorizations(gaussian_file):
 
 
 def test_layers_dot_over_budget_prints_nothing(tmp_path):
-    # 1002 layers: the cover test's cube passes the Hasse budget of 10^9
+    # 1002 layers: the cover test's square passes the Hasse budget of 10^6
     path = tmp_path / "thousand.json"
     path.write_text(json.dumps({"ring": {"type": "Z"},
                                 "columns": [[1001]]}))
@@ -168,6 +168,10 @@ def test_exit_codes(tmp_path, nonprincipal_file):
                                 "columns": [[0, 0]]}))
     rc, _ = run(["period", str(zero)])
     assert rc == 2
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"ring": "Z", "columns": [[1]]}))
+    rc, _ = run(["period", str(ring)])
+    assert rc == 2
     rc, _ = run(["rootsystem", "H9"])
     assert rc == 2
     rc, _ = run(["eval", nonprincipal_file, "--ideal", "[[0,0]]"])
@@ -193,7 +197,8 @@ def test_internal_fault_exits_4(monkeypatch, nonprincipal_file):
     from dedarr import ring as rg
 
     def broken(A):
-        return rg.FractionalIdeal(rg.Ideal.unit(A.ring), 2).to_integral()
+        two = rg.Ideal.principal(A.ring, A.ring.from_int(2))
+        return rg.Ideal.unit(A.ring) / two
 
     monkeypatch.setattr(cq, "lcm_period", broken)
     rc, _ = run(["period", nonprincipal_file])
@@ -216,3 +221,47 @@ def test_budget_exit_code(tmp_path):
     path.write_text(json.dumps({"ring": {"type": "Z"}, "columns": cols}))
     rc, _ = run(["constituents", str(path), "--path", "subset"])
     assert rc == 3
+
+
+def test_library_value_error_propagates(monkeypatch, nonprincipal_file):
+    # only typed input errors exit 2; a ValueError from inside the library
+    # is a fault and must not be reported as bad input
+    from dedarr import charquasi as cq
+
+    def broken(A):
+        return pow(2, -1, 4)
+
+    monkeypatch.setattr(cq, "lcm_period", broken)
+    with pytest.raises(ValueError):
+        run(["period", nonprincipal_file])
+
+
+def test_overlong_integer_literal_exits_2(tmp_path, nonprincipal_file):
+    # json reads an integer past Python's digit limit as a plain ValueError
+    path = tmp_path / "long.json"
+    path.write_text('{"ring": {"type": "Z"}, "columns": [[' + "7" * 5001
+                    + "]]}")
+    rc, text = run(["period", str(path)])
+    assert rc == 2 and text == ""
+    rc, text = run(["eval", nonprincipal_file, "--ideal",
+                    "[" + "3" * 5001 + "]"])
+    assert rc == 2 and text == ""
+
+
+def test_large_quadratic_d(tmp_path):
+    # d is checked by factoring |d|: a squarefree d near 10^18 answers at
+    # once, and a d past 2^63 exceeds the factoring budget
+    cols = [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]
+    path = tmp_path / "big_d.json"
+    path.write_text(json.dumps({"ring": {"type": "quadratic",
+                                         "d": 10 ** 18 + 3},
+                                "columns": cols}))
+    start = time.monotonic()
+    rc, text = run(["period", str(path)])
+    assert rc == 0 and text == "period: p2^2 hnf=[[2, 0], [0, 2]]\n"
+    assert time.monotonic() - start < 10
+    path.write_text(json.dumps({"ring": {"type": "quadratic",
+                                         "d": 2 ** 63 + 5},
+                                "columns": cols}))
+    rc, text = run(["period", str(path)])
+    assert rc == 3 and text == ""

@@ -9,7 +9,8 @@ from dedarr import modstruct as ms
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import (exhaustive_layer_poset, flats_above, layer_digest,
+from conftest import (exhaustive_layer_poset, flats_above,
+                      hasse_covers_by_triples, layer_digest,
                       mobius_by_recursion, rand_small_arrangement)
 
 Z = rg.rational_integers()
@@ -165,7 +166,7 @@ def test_layer_poset_matches_exhaustive_loop():
                     == layer_digest(exhaustive_layer_poset(A, kappa)))
         gens = [A.ring.from_int(2), A.ring.from_int(3)]
         stripped, _ = cq.strip_primes(cq.lcm_period(A), gens)
-        assert (layer_digest(ly.localized_layer_poset(A, gens))
+        assert (layer_digest(ly.layer_poset(A, period=stripped))
                 == layer_digest(exhaustive_layer_poset(A, stripped)))
 
 
@@ -185,6 +186,28 @@ def test_wrong_layer_registration_is_caught(monkeypatch):
     monkeypatch.setattr(ly.LayerPoset, "finders", wrong)
     with pytest.raises(CertificateFailure):
         ly.layer_poset(A)
+
+
+def test_overcounted_registration_is_caught(monkeypatch):
+    # recording every layer also at the zero layer of each flat it covers
+    # raises that parent's count past its component count; the skip must
+    # not fire on it unchecked
+    from dedarr.errors import CertificateFailure
+    right = ly.LayerPoset.finders
+
+    def extra(self, z):
+        yield from right(self, z)
+        zero = (0,) * self.lattice.D
+        for xid in self.lattice.covered(z.flat_id):
+            x_bits = self.lattice.flats[xid].Jbits
+            yield self.layers[self.index[(xid, zero)]], z.Jbits & ~x_bits
+
+    A = cq.Arrangement(Z, [[(1,), (0,)], [(0,), (3,)], [(1,), (1,)],
+                           [(2,), (-1,)]])
+    monkeypatch.setattr(ly.LayerPoset, "finders", extra)
+    for B in (A, rootsys.builtin("H3").arrangement):
+        with pytest.raises(CertificateFailure):
+            ly.layer_poset(B)
 
 
 def test_unregistered_known_flat_is_caught(monkeypatch):
@@ -443,32 +466,69 @@ def test_hasse_dot(gaussian_arrangement, nonprincipal_arrangement):
 
 
 def test_hasse_dot_budget(nonprincipal_arrangement, monkeypatch):
-    # the cover test is cubic in the chosen layers: the budget bounds the
-    # cube before any work, also for a torsion subposet
+    # the cover test is quadratic in the chosen layers: the budget bounds
+    # the square before any work, also for a torsion subposet
     from dedarr.errors import BudgetExceeded
     P = ly.layer_poset(nonprincipal_arrangement)
     full = P.hasse_dot()
-    monkeypatch.setattr(ly, "HASSE_BUDGET", 5 ** 3)
+    monkeypatch.setattr(ly, "HASSE_BUDGET", 5 ** 2)
     assert P.hasse_dot() == full
-    monkeypatch.setattr(ly, "HASSE_BUDGET", 5 ** 3 - 1)
+    monkeypatch.setattr(ly, "HASSE_BUDGET", 5 ** 2 - 1)
     with pytest.raises(BudgetExceeded):
         P.hasse_dot()
-    monkeypatch.setattr(ly, "HASSE_BUDGET", 3 ** 3)
+    monkeypatch.setattr(ly, "HASSE_BUDGET", 3 ** 2)
     assert "->" in P.hasse_dot(P5)
-    monkeypatch.setattr(ly, "HASSE_BUDGET", 3 ** 3 - 1)
+    monkeypatch.setattr(ly, "HASSE_BUDGET", 3 ** 2 - 1)
     with pytest.raises(BudgetExceeded):
         P.hasse_dot(P5)
     monkeypatch.undo()
+    # 1,000 layers fit the budget, one more does not
+    edge = ly.layer_poset(cq.Arrangement(Z, [[(999,)]]))
+    assert len(edge.layers) == 1000
+    assert edge.hasse_dot().count("->") == 999
     big = ly.layer_poset(cq.Arrangement(Z, [[(1001,)]]))
-    assert len(big.layers) ** 3 > ly.HASSE_BUDGET
+    assert len(big.layers) ** 2 > ly.HASSE_BUDGET
     with pytest.raises(BudgetExceeded):
         big.hasse_dot()
+
+
+def dot_covers(P, kappa):
+    """The chosen layers and the (i, k) layer pairs of the DOT edges."""
+    chosen = (range(len(P.layers)) if kappa is None
+              else P.kappa_subposet(kappa))
+    nodes = sorted(chosen, key=lambda i: (
+        -P.layers[i].dim, P.representative_string(P.layers[i])))
+    pairs = set()
+    for line in P.hasse_dot(kappa).splitlines():
+        if "->" in line:
+            a, b = line.strip(" ;").split(" -> ")
+            pairs.add((nodes[int(a[1:])], nodes[int(b[1:])]))
+    return chosen, pairs
+
+
+def test_hasse_covers_match_triple_loop(gaussian_arrangement,
+                                        nonprincipal_arrangement):
+    # the pair test on dimensions draws exactly the covers of the
+    # definition, for the whole poset and every torsion subposet
+    cases = [gaussian_arrangement, nonprincipal_arrangement,
+             rootsys.builtin("H2").arrangement,
+             rootsys.builtin("H3").arrangement]
+    cases += small_period_arrangements(random.Random(72), 3)
+    covers = 0
+    for A in cases:
+        P = ly.layer_poset(A)
+        for kappa in [None] + P.period.divisors():
+            chosen, pairs = dot_covers(P, kappa)
+            assert pairs == hasse_covers_by_triples(P, chosen), A.columns
+            covers += len(pairs)
+    assert covers >= 500
 
 
 def test_localized_poset_matches_torsion_subposet():
     h3 = rootsys.builtin("H3").arrangement
     P = ly.layer_poset(h3)
-    local = ly.localized_layer_poset(h3, [(2, 0)])
+    local = ly.layer_poset(
+        h3, period=cq.strip_primes(cq.lcm_period(h3), [(2, 0)])[0])
     # inverting 2 strips the whole period of H3: the poset collapses to
     # the identity layers, i.e. the unit-ideal torsion subposet
     chosen = P.kappa_subposet(rg.Ideal.unit(ZT))
@@ -490,15 +550,18 @@ def test_localized_poset_matches_torsion_subposet():
     assert pairs_local == pairs_flat
 
 
-def test_layer_budget(gaussian_arrangement):
+def test_layer_budget(gaussian_arrangement, monkeypatch):
     from dedarr.errors import ExponentTooLarge
+    monkeypatch.setattr(ly, "LAYER_BUDGET", 3)
     with pytest.raises(ExponentTooLarge):
-        ly.layer_poset(gaussian_arrangement, budget=3)
+        ly.layer_poset(gaussian_arrangement)
 
 
 def test_localized_poset_partial_strip(nonprincipal_arrangement):
-    P = ly.layer_poset(nonprincipal_arrangement)
-    local = ly.localized_layer_poset(nonprincipal_arrangement, [(2, 0)])
+    A = nonprincipal_arrangement
+    P = ly.layer_poset(A)
+    local = ly.layer_poset(
+        A, period=cq.strip_primes(cq.lcm_period(A), [(2, 0)])[0])
     chosen = P.kappa_subposet(Q5)
     expect = sorted((P.layers[i].dim, P.layers[i].mu,
                      P.layers[i].tau.hnf) for i in chosen)

@@ -127,30 +127,6 @@ def test_snf_transforms_product():
         assert zl.mat_mul(V, Vinv) == zl.identity(n)
 
 
-def test_intersect_matches_brute_force():
-    rng = random.Random(6)
-    for _ in range(80):
-        n = rng.randint(1, 3)
-        a = rand_matrix(rng, rng.randint(1, 2), n, bound=3)
-        b = rand_matrix(rng, rng.randint(1, 2), n, bound=3)
-        inter = zl.intersect(a, b)
-        ib, ip = zl.hnf(inter) if inter else ([], [])
-        pa = lattice_points(a, 4) if any(any(r) for r in a) else {(0,) * n}
-        pb = lattice_points(b, 4) if any(any(r) for r in b) else {(0,) * n}
-        both = pa & pb
-        for v in both:
-            if max(abs(x) for x in v) <= 3:
-                if inter:
-                    assert zl.in_lattice(list(v), ib, ip), (a, b, v)
-                else:
-                    assert not any(v)
-        for row in inter:
-            ha, hpa = zl.hnf(a)
-            hb, hpb = zl.hnf(b)
-            assert zl.in_lattice(row, ha, hpa)
-            assert zl.in_lattice(row, hb, hpb)
-
-
 def test_saturate_contains_and_same_rank():
     rng = random.Random(7)
     for _ in range(150):
