@@ -145,7 +145,8 @@ def test_ideal_norm_examples():
         assert rg.Ideal.unit(ring).norm == 1
 
 
-def test_ideal_quotient_examples():
+def test_ideal_colon_examples():
+    # when b divides a, the quotient a / b is the colon ideal (a : b)
     four = rg.Ideal.principal(Z, (4,))
     two = rg.Ideal.principal(Z, (2,))
     assert four / two == two
@@ -157,7 +158,20 @@ def test_ideal_quotient_examples():
         for _ in range(20):
             a = rand_ideal(rng, ring)
             assert a / unit == a
+
+
+def test_inverse_and_fractional():
+    # a * a^-1 = 1 in the group of fractional ideals, read inside the
+    # integral ideals: a / a is the unit ideal, and dividing by a cancels
+    # a factor of a
+    rng = random.Random(19)
+    for ring in RINGS:
+        unit = rg.Ideal.unit(ring)
+        for _ in range(40):
+            a = rand_ideal(rng, ring, 4)
+            b = rand_ideal(rng, ring, 4)
             assert a / a == unit
+            assert (a * b) / a == b
 
 
 def test_quotient_against_elementwise_oracle():
