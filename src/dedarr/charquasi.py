@@ -14,9 +14,14 @@ same constituents off Moebius values of the torsion-translate poset.
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
+
+import numpy as np
 
 from . import modstruct as ms
+from . import zlinalg as zl
 from .errors import (
+    BudgetExceeded,
     CertificateFailure,
     InvalidArrangement,
     PathInfeasible,
@@ -27,6 +32,8 @@ from .ring import Ideal, PrimeValuator
 
 SUBSET_PATH_MAX_N = 22
 AUTO_SUBSET_MAX_N = 12
+MINOR_TABLE_BUDGET = 10 ** 7  # entries of lcm_period's minor tables
+LEAF_CHUNK = 2 ** 14  # basis minors formed at once by lcm_period
 
 
 class Arrangement:
@@ -248,6 +255,85 @@ class _MinorSweep:
             del self.minors[key]
 
 
+def _kernel_bound(ring, entry, size):
+    """A bound on every integer the lcm kernel forms.
+
+    Those are the coordinates of the minors of sizes up to ``size`` of a
+    matrix whose coordinates are at most ``entry`` in absolute value, the
+    partial sums of their Laplace expansions, and over a quadratic order
+    the norms of the largest minors.  A product of two elements with
+    coordinates at most x and y has coordinates at most k*x*y, so an
+    s-minor has coordinates at most s*k*entry times the (s-1)-minors'.
+    """
+    if ring.degree == 1:
+        k = 1
+    else:
+        wt, wn = abs(ring.omega_trace), abs(ring.omega_norm)
+        k = max(1 + wn, 2 + wt)
+    bound = 1
+    for s in range(1, size + 1):
+        bound *= s * k * entry
+    if ring.degree == 2:
+        bound = max(bound, (1 + wt + wn) * bound * bound)
+    return bound
+
+
+def _mul(ring, x, y):
+    """Ring products of arrays whose last axis holds the coordinates."""
+    if ring.degree == 1:
+        return x * y
+    a, b = x[..., 0], x[..., 1]
+    e, f = y[..., 0], y[..., 1]
+    bf = b * f
+    return np.stack((a * e - ring.omega_norm * bf,
+                     a * f + b * e + ring.omega_trace * bf), axis=-1)
+
+
+def _extend(ring, X, prev, parent, cols, s):
+    """The s-minors of the column sets P + (j,), by Laplace expansion.
+
+    ``prev`` holds the (s-1)-minors of column sets P, one row per set and
+    one column per row set in combinations order; the result has one row
+    per pair (P = prev[parent[i]], j = cols[i]) and one column per s-subset
+    of the ell rows.  The expansion runs along the last column j.
+    """
+    ell = X.shape[1]
+    pos = {R: i for i, R in enumerate(combinations(range(ell), s - 1))}
+    rows = list(combinations(range(ell), s))
+    out = 0
+    for t in range(s):
+        drop = np.array([pos[R[:t] + R[t + 1:]] for R in rows])
+        pick = np.array([R[t] for R in rows])
+        term = _mul(ring, X[cols[:, None], pick], prev[parent[:, None], drop])
+        out = out + term if (t + s) % 2 else out - term
+    return out
+
+
+def _children(last, n):
+    """(parent, j) of every set P + (j,) with j > max P, in lex order.
+
+    ``last`` holds max P of each set P (-1 for the empty set).  Listing the
+    children of each set in turn, j increasing, lists the larger sets in
+    combinations order.
+    """
+    counts = n - 1 - last
+    parent = np.repeat(np.arange(len(last)), counts)
+    start = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+    return parent, np.arange(len(parent)) - start
+
+
+def _comb_index(c, n):
+    """Position of the increasing tuple c in combinations(range(n), len(c))."""
+    k = len(c)
+    idx = 0
+    prev = -1
+    for i, x in enumerate(c):
+        for v in range(prev + 1, x):
+            idx += comb(n - v - 1, k - i - 1)
+        prev = x
+    return idx
+
+
 def lcm_period(A):
     """The lcm of the last invariant factors d(J), over the bases of A.
 
@@ -257,116 +343,94 @@ def lcm_period(A):
     independent subset of size r = rank A, so the lcm over bases equals the
     lcm over all independent subsets.  Dropping columns of a dependent
     subset at equal rank only grows the last invariant factor, so that is
-    also the lcm over every subset.  The walk therefore goes to depth r
-    only: inner nodes push minors and recurse while the subset stays
-    independent, and only the bases form ideals.
+    also the lcm over every subset.
 
-    When r = ell a basis has a principal top ideal E_ell = (g), g its one
-    maximal minor: the dot product of the new column with the cofactor
-    vector of the others.  Its last factor d = (g) * E_(ell-1)^(-1)
-    contains (g), so when g divides the lcm found so far, d does too and
-    the basis's smaller minors and ideals are never formed.
+    The minors of every column subset of size below r are built size by
+    size as numpy tables, by Laplace expansion along the last column.  The
+    bases P + (j,), P an (r-1)-subset and j > max P, are then formed in
+    blocks and visited in lex order: a basis has a nonzero r-minor, and
+    d = E_r * E_(r-1)^(-1) of its determinantal ideals.  When r = ell,
+    E_ell = (g) for its one maximal minor g, and d contains (g): a basis
+    whose g is a unit or divides the lcm found so far forms no ideal.
+    The tables are int64 when _kernel_bound allows, else Python ints.
+    Past MINOR_TABLE_BUDGET table entries, BudgetExceeded is raised
+    before any is formed.
     """
     ring = A.ring
     unit = Ideal.unit(ring)
     if A.n == 0:
         return unit
-    sweep = _MinorSweep(A)
-    minors = sweep.minors
-    ell = A.ell
-    r = ms.rank_over_K(A.coeff_matrix(range(A.n)))
-    quadratic = ring.degree == 2
-    wt, wn = ring.omega_trace, ring.omega_norm
-    acc = [unit]
+    n, ell, deg = A.n, A.ell, ring.degree
+    r = ms.rank_over_K(A.coeff_matrix(range(n)))
+    size = sum(comb(n, s) * comb(ell, s) for s in range(1, r))
+    if size > MINOR_TABLE_BUDGET:
+        raise BudgetExceeded(
+            f"the lcm period needs {size} minors of column subsets, over "
+            f"the budget of {MINOR_TABLE_BUDGET}")
+    entry = max(abs(c) for col in A.columns for x in col for c in x)
+    dtype = zl.exact_dtype(_kernel_bound(ring, entry, r))
+    X = np.array([[list(x) for x in col] for col in A.columns], dtype=dtype)
+    # the 0-minor of the empty set is one
+    table = np.zeros((1, 1, deg), dtype=dtype)
+    table[0, 0, 0] = 1
+    last = np.array([-1])
+    parents, lasts = [], []
+    for s in range(1, r):
+        parent, cols = _children(last, n)
+        table = _extend(ring, X, table, parent, cols, s)
+        parents.append(parent)
+        lasts.append(cols)
+        last = cols
 
-    def note(e_top, smaller):
-        # d = E_r * E_(r-1)^(-1); update acc[0] = lcm(acc[0], d)
-        e_prev = Ideal.from_generators(ring, smaller) if smaller else unit
-        if e_top.is_unit_ideal() or e_top.contains_ideal(acc[0] * e_prev):
-            return  # d already divides the accumulated lcm
-        d = e_top / e_prev
-        acc[0] = acc[0].intersect(d)
+    def columns_of(p):
+        # the (r-1)-subset at row p of the table
+        out = []
+        for parent, cols in zip(reversed(parents), reversed(lasts)):
+            out.append(int(cols[p]))
+            p = parent[p]
+        return out[::-1]
 
-    def complete(cols):
-        # the level above pushed only the (r-1)-minors of cols; a basis's
-        # E_(r-1) also needs the (r-2)-minors with the last column of cols
-        if r > 3:
-            return sweep.push_column(cols[:-1], cols[-1], (r - 2,))[0]
-        return []
-
-    def principal_leaves(cols, start):
-        # cols has ell - 1 columns; each j completes a square matrix
-        k = ell - 1
-        if k:
-            cof = []
-            for t in range(ell):
-                v = minors[(tuple(i for i in range(ell) if i != t), cols)]
-                cof.append(v if (t + ell) % 2 else tuple(-c for c in v))
+    acc = unit
+    per = max(1, LEAF_CHUNK // (n * comb(ell, r)))
+    for lo in range(0, len(last), per):
+        parent, cols = _children(last[lo:lo + per], n)
+        top = _extend(ring, X, table, parent + lo, cols, r)
+        if r == ell:
+            g = top[:, 0]
+            if deg == 1:
+                norm = g[:, 0]
+            else:
+                g0, g1 = g[:, 0], g[:, 1]
+                norm = (g0 * g0 + ring.omega_trace * (g0 * g1)
+                        + ring.omega_norm * (g1 * g1))
+            # g = 0: dependent; a unit g makes d the unit ideal
+            keep = abs(norm) > 1
         else:
-            cof = [ring.one]
-        restored = None
-        for j in range(start, A.n):
-            column = A.columns[j]
-            if quadratic:
-                g0 = g1 = 0
-                for (a, b), (e, f) in zip(column, cof):
-                    bf = b * f
-                    g0 += a * e - wn * bf
-                    g1 += a * f + b * e + wt * bf
-                g = (g0, g1)
-                norm = g0 * g0 + wt * g0 * g1 + wn * g1 * g1
-            else:
-                norm = sum(x[0] * c[0] for x, c in zip(column, cof))
-                g = (norm,)
-            if norm in (0, 1, -1) or ring.divides(g, *acc[0].hnf):
-                # g = 0: dependent; else d contains (g), which is the unit
-                # ideal or contains the lcm
-                continue
-            smaller = []
-            if k:
-                if restored is None:
-                    restored = complete(cols)
-                added, new_by_size = sweep.push_column(cols, j, (k,))
-                smaller = [v for v in cof + new_by_size[k] if any(v)]
-                sweep.pop(added)
-            note(Ideal.principal(ring, g), smaller)
-        if restored:
-            sweep.pop(restored)
-
-    def leaves(cols, start):
-        # a basis of r < ell columns: E_r and E_(r-1) from all its minors
-        k = r - 1
-        old = [minors[(rows, cols)]
-               for rows in combinations(range(ell), k)] if k else []
-        restored = complete(cols)
-        for j in range(start, A.n):
-            added, new_by_size = sweep.push_column(cols, j, (k, k + 1))
-            top = [v for v in new_by_size[k + 1] if any(v)]
-            if top:
-                smaller = [v for v in old + new_by_size.get(k, [])
-                           if any(v)]
-                note(Ideal.from_generators(ring, top), smaller)
-            sweep.pop(added)
-        sweep.pop(restored)
-
-    def walk(cols, start):
-        k = len(cols)
-        if k + 1 == r:
+            keep = (top != 0).any(axis=(1, 2))
+        for i in np.flatnonzero(keep).tolist():
+            gens = [tuple(v) for v in top[i].tolist()]
             if r == ell:
-                principal_leaves(cols, start)
+                if ring.divides(gens[0], *acc.hnf):
+                    continue  # d contains (g), which contains the lcm
+                e_top = Ideal.principal(ring, gens[0])
             else:
-                leaves(cols, start)
-            return
-        # a child one short of a basis needs only its top minors
-        sizes = (k + 1,) if k + 2 == r else range(2, k + 2)
-        for j in range(start, A.n):
-            added, new_by_size = sweep.push_column(cols, j, sizes)
-            if any(any(v) for v in new_by_size[k + 1]):
-                walk(cols + (j,), j + 1)
-            sweep.pop(added)
-
-    walk((), 0)
-    return acc[0]
+                e_top = Ideal.from_generators(ring, gens)
+            if r == 1:
+                e_prev = unit
+            else:
+                # E_(r-1): the (r-1)-minors of P and of each P - {k} + {j}
+                p = int(parent[i]) + lo
+                P = columns_of(p)
+                j = int(cols[i])
+                subs = [p] + [_comb_index(sub + (j,), n)
+                              for sub in combinations(P, r - 2)]
+                smaller = [tuple(v)
+                           for v in table[subs].reshape(-1, deg).tolist()]
+                e_prev = Ideal.from_generators(ring, smaller)
+            if e_top.is_unit_ideal() or e_top.contains_ideal(acc * e_prev):
+                continue  # d already divides the accumulated lcm
+            acc = acc.intersect(e_top / e_prev)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ the flats X (restriction of scalars, D = degree * ell).
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from . import zlinalg as zl
 from .errors import BudgetExceeded, CertificateFailure, ExponentTooLarge
 from .quasipoly import QuasiPolynomial
@@ -379,6 +381,9 @@ class LayerPoset:
         self.layers = layers
         self.index = index  # (flat id, y tuple) -> layer index
         self._lam = {}
+        # coset_counts' image is below D*m^2 with both factors reduced
+        self._C = np.array([[x % m for x in row] for row in lattice.C],
+                           dtype=zl.exact_dtype(lattice.D * m * m))
 
     # -- plumbing --
 
@@ -394,6 +399,29 @@ class LayerPoset:
                  for r in range(D)]
             self._lam[flat_id] = zl.hnf(rows)
         return self._lam[flat_id]
+
+    def coset_counts(self, flat_id):
+        """Components of P cap H_j for each column j, P a layer of the flat.
+
+        They are the cosets of the child lattice in the solutions, one per
+        element of Z^deg / (I_j + m Z^deg), I_j the image of the flat's
+        lattice under column j: prod gcd(e, m) over the gcd diagonal e of
+        I_j, which the image mod m gives.  Every column is read off the
+        one image (lat mod m)(C mod m) mod m.
+        """
+        m = self.m
+        lat = [[x % m for x in row] for row in self.lattice.flats[flat_id].lat]
+        image = np.array(lat, dtype=self._C.dtype) @ self._C % m
+        if self.arrangement.ring.degree == 1:
+            return np.gcd(np.gcd.reduce(image, axis=0), m).tolist()
+        # per column block (a, b): d1 = gcd of the entries, d1*d2 = gcd of
+        # the 2x2 minors, whose entries stay below m^2
+        a, b = image[:, 0::2], image[:, 1::2]
+        d1 = np.gcd.reduce(np.gcd(a, b), axis=0)
+        minors = a[:, None] * b[None] - b[:, None] * a[None]
+        d12 = np.gcd.reduce(np.gcd.reduce(minors, axis=0), axis=0)
+        d2 = d12 // np.where(d1 == 0, 1, d1)
+        return (np.gcd(d1, m) * np.gcd(d2, m)).tolist()
 
     def canon(self, flat_id, y):
         basis, pivots = self.lam(flat_id)
@@ -593,7 +621,6 @@ def layer_poset(A, period=None):
     m = period.least_integer()
     lattice = FlatLattice(A)
     D = lattice.D
-    deg = A.ring.degree
     poset = LayerPoset(A, period, lattice, m, [], {})
     # parent index -> (for each j, how many recorded layers (its flat, j)
     # finds from it; the recorded (bits of j, layer) pairs)
@@ -628,23 +655,14 @@ def layer_poset(A, period=None):
             if not ys:
                 continue
             lam_basis, _ = poset.lam(flat.id)
-            det_basis = math.prod(lam_basis[i][i] for i in range(D))
-            prod = zl.mat_mul(lam_basis, lattice.C)
+            counts_j = poset.coset_counts(flat.id)
             parents = [poset.index[(flat.id, y)] for y in ys]
             for j in range(A.n):
                 if j in flat.J:
                     continue
-                child = lattice.child[(flat.id, j)]
-                lam_child, pivots_child = poset.lam(child)
-                M = [row[deg * j: deg * (j + 1)] for row in prod]
-                # P cap H_j has one component per coset of the child
-                # lattice in the homogeneous solutions, the same number
-                # for every parent layer P; the index is read off
-                # determinants and the gcd diagonal of M
-                steps = math.prod(m // math.gcd(d, m)
-                                  for d in zl.small_snf_diagonal(M))
-                cosets = (math.prod(lam_child[i][i] for i in range(D))
-                          // (det_basis * steps))
+                # P cap H_j has one component per coset, the same number
+                # for every parent layer P
+                cosets = counts_j[j]
                 todo = []
                 for y, parent in zip(ys, parents):
                     counts, recorded = found.get(parent, (None, ()))
@@ -657,8 +675,12 @@ def layer_poset(A, period=None):
                             f"{parent}, which cut only {cosets}")
                 if not todo:
                     continue
+                child = lattice.child[(flat.id, j)]
+                lam_child, pivots_child = poset.lam(child)
+                colmat = lattice.colmats[j]
                 refine = _Refinement(lam_basis, lam_child, pivots_child,
-                                     lattice.colmats[j], M, m, cosets)
+                                     colmat, zl.mat_mul(lam_basis, colmat),
+                                     m, cosets)
                 for y, recorded in todo:
                     outs = refine.solve(list(y))
                     for bits, z in recorded:

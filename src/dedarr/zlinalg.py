@@ -2,13 +2,25 @@
 
 Matrices are lists (or tuples) of rows of Python ints, so everything is
 arbitrary precision.  Row convention throughout: a lattice is the set of
-integer combinations of the rows of its basis matrix.
+integer combinations of the rows of its basis matrix.  The numpy kernels
+elsewhere take their dtype from ``exact_dtype``.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CertificateFailure
+
+
+def exact_dtype(bound):
+    """The numpy dtype for values at most ``bound`` in absolute value.
+
+    int64 below 2^63, else object (Python ints), so the same numpy code is
+    exact either way.
+    """
+    return np.int64 if bound < 2 ** 63 else object
 
 
 def xgcd(a, b):

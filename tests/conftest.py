@@ -73,6 +73,23 @@ def mobius_by_recursion(P):
     return mu
 
 
+def determinant_coset_count(P, flat_id, j):
+    """Components of P cap H_j for a layer P of the flat, by determinants.
+
+    They are the cosets of the child lattice in the homogeneous solutions,
+    det(Lambda_child) / (det(Lambda_X) * steps), with steps read off the
+    gcd diagonal of M = lam_basis * colmat_j.  ``LayerPoset.coset_counts``
+    reads every j's count off one image per flat; this is its reference.
+    """
+    D, m = P.lattice.D, P.m
+    lam_basis, _ = P.lam(flat_id)
+    lam_child, _ = P.lam(P.lattice.child[(flat_id, j)])
+    M = zl.mat_mul(lam_basis, P.lattice.colmats[j])
+    steps = math.prod(m // math.gcd(d, m) for d in zl.small_snf_diagonal(M))
+    return (math.prod(lam_child[i][i] for i in range(D))
+            // (math.prod(lam_basis[i][i] for i in range(D)) * steps))
+
+
 def exhaustive_layer_poset(A, period=None, finds=None):
     """The layer poset by solving every (flat, j) pair at every parent.
 
@@ -87,9 +104,6 @@ def exhaustive_layer_poset(A, period=None, finds=None):
     m = period.least_integer()
     lattice = ly.FlatLattice(A)
     P = ly.LayerPoset(A, period, lattice, m, [], {})
-
-    def det(basis):
-        return math.prod(basis[i][i] for i in range(lattice.D))
 
     zero = (0,) * lattice.D
     P.add_layer(0, zero)
@@ -107,12 +121,10 @@ def exhaustive_layer_poset(A, period=None, finds=None):
                 child = lattice.child[(flat.id, j)]
                 lam_child, pivots_child = P.lam(child)
                 colmat = lattice.colmats[j]
-                M = zl.mat_mul(lam_basis, colmat)
-                steps = math.prod(m // math.gcd(d, m)
-                                  for d in zl.small_snf_diagonal(M))
-                cosets = det(lam_child) // (det(lam_basis) * steps)
                 refine = ly._Refinement(lam_basis, lam_child, pivots_child,
-                                        colmat, M, m, cosets)
+                                        colmat, zl.mat_mul(lam_basis, colmat),
+                                        m, determinant_coset_count(
+                                            P, flat.id, j))
                 for y in ys:
                     for y_new in refine.solve(list(y)):
                         if P.add_layer(child, y_new) is not None:

@@ -2,6 +2,7 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dedarr import charquasi as cq
@@ -9,7 +10,9 @@ from dedarr import modstruct as ms
 from dedarr import oracle
 from dedarr import ring as rg
 from dedarr import rootsys
+from dedarr import zlinalg as zl
 from dedarr.errors import (
+    BudgetExceeded,
     InvalidArrangement,
     PathInfeasible,
     ZeroInMultiplicativeSet,
@@ -94,8 +97,37 @@ def rand_columns(rng, ring, ell, n, bound=3):
     return cols
 
 
-def test_lcm_period_equals_full_range_lcm():
+def big_prime_columns(rng, ring, ell, n, p=300007):
+    """Columns e_i or e_i + c*e_j, one column (p, p, 0, ...), and ell
+    random row operations x_i += +-x_k: the big-prime presentations of the
+    subset-path benchmark."""
+    cols = set()
+    while len(cols) < n - 1:
+        col = [ring.zero] * ell
+        i = rng.randrange(ell)
+        col[i] = ring.one
+        k = rng.choice([x for x in range(ell) if x != i])
+        col[k] = rng.choice([ring.one, ring.neg(ring.one), (1, 1)])
+        cols.add(tuple(col))
+    cols = [list(c) for c in sorted(cols)]
+    cols.append([ring.from_int(p if i < 2 else 0) for i in range(ell)])
+    for _ in range(ell):
+        i, k = rng.sample(range(ell), 2)
+        for c in cols:
+            c[i] = ring.add(c[i], c[k])
+    return [tuple(c) for c in cols]
+
+
+def test_lcm_period_equals_full_range_lcm(monkeypatch):
     # against the definition: lcm over every J in the size bound
+    dtypes = set()
+    exact_dtype = zl.exact_dtype
+
+    def recorded(bound):
+        dtypes.add(exact_dtype(bound))
+        return exact_dtype(bound)
+
+    monkeypatch.setattr(cq.zl, "exact_dtype", recorded)
     rng = random.Random(51)
     for ring in (Z, ZI, Z5, ZT):
         for _ in range(15):
@@ -146,6 +178,64 @@ def test_lcm_period_equals_full_range_lcm():
     A = cq.Arrangement(Z, [[(0,), (2,), (0,)], [(0,), (6,), (0,)]])
     assert cq.lcm_period(A) == full_range_lcm(A) == \
         rg.Ideal.principal(Z, (6,))
+    assert dtypes == {np.int64}
+    # past the int64 bound the same kernel runs on Python ints: the
+    # benchmark's big-prime presentations, large random entries, and the
+    # edge of the bound, where the minor 2*B^2 still fits for B < 2^31
+    for ring in (ZI, Z5, ZT):
+        A = cq.Arrangement(ring, big_prime_columns(rng, ring, 3, 8))
+        assert cq.lcm_period(A) == full_range_lcm(A), A.columns
+        for ell, n in ((1, 3), (2, 4), (3, 4)):
+            A = cq.Arrangement(ring, rand_columns(rng, ring, ell, n, 10 ** 6))
+            assert cq.lcm_period(A) == full_range_lcm(A), A.columns
+    assert dtypes == {np.int64, object}
+    for B, dtype in ((2 ** 31 - 1, np.int64), (2 ** 31, object)):
+        dtypes.clear()
+        A = cq.Arrangement(Z, [[(B,), (B,)], [(-B,), (B,)], [(B,), (3,)]])
+        assert cq.lcm_period(A) == full_range_lcm(A), B
+        assert dtypes == {dtype}
+    for B, dtype in ((2 ** 63 - 1, np.int64), (2 ** 63, object)):
+        dtypes.clear()
+        A = cq.Arrangement(Z, [[(B,)], [(6,)], [(-B,)]])
+        assert cq.lcm_period(A) == full_range_lcm(A), B
+        assert dtypes == {dtype}
+
+
+def test_kernel_bound():
+    # the dtype switches at 2^63, and the bound on the minors (and norms)
+    # of the lcm kernel holds with equality on Z at the 2x2 edge
+    assert zl.exact_dtype(2 ** 63 - 1) is np.int64
+    assert zl.exact_dtype(2 ** 63) is object
+    assert cq._kernel_bound(Z, 2 ** 31 - 1, 2) < 2 ** 63
+    assert cq._kernel_bound(Z, 2 ** 31, 2) == 2 ** 63
+    rng = random.Random(52)
+    for ring in (Z, ZI, Z5, ZT):
+        for size in (1, 2, 3, 4):
+            for entry in (1, 2, 7):
+                C = ms.CoeffMatrix(ring, [
+                    [tuple(rng.choice((-entry, entry, rng.randint(
+                        -entry, entry))) for _ in range(ring.degree))
+                     for _ in range(size)] for _ in range(size)])
+                bound = cq._kernel_bound(ring, entry, size)
+                for v in ms._minor_table(C, size).values():
+                    assert all(abs(c) <= bound for c in v)
+                det = ms._minor_table(C, size)[
+                    (tuple(range(size)), tuple(range(size)))]
+                assert abs(ring.norm(det)) <= bound
+    C = [[(5,), (5,)], [(-5,), (5,)]]
+    det = ms._minor_table(ms.CoeffMatrix(Z, C), 2)[((0, 1), (0, 1))]
+    assert det == (cq._kernel_bound(Z, 5, 2),)
+
+
+def test_minor_table_budget(monkeypatch):
+    # H3: 15 columns of rank 3, so the tables hold the 1- and 2-minors,
+    # 15*3 + 105*3 = 360 entries
+    A = rootsys.builtin("H3").arrangement
+    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 360)
+    assert cq.lcm_period(A) == rg.Ideal.principal(ZT, (2, 0))
+    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 359)
+    with pytest.raises(BudgetExceeded, match="needs 360 minors"):
+        cq.lcm_period(A)
 
 
 def test_constituents_gaussian(gaussian_arrangement):

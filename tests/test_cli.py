@@ -215,12 +215,19 @@ def test_empty_arrangement_file(tmp_path):
     assert "f[1] = t^2" in text
 
 
-def test_budget_exit_code(tmp_path):
+def test_budget_exit_code(tmp_path, monkeypatch, capsys):
     cols = [[1, k] for k in range(1, 25)]
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"ring": {"type": "Z"}, "columns": cols}))
     rc, _ = run(["constituents", str(path), "--path", "subset"])
     assert rc == 3
+    # the 24 columns of rank 2 need 24*2 table entries for the lcm period
+    from dedarr import charquasi as cq
+    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 47)
+    capsys.readouterr()
+    rc, out = run(["period", str(path)])
+    assert rc == 3 and out == ""
+    assert "needs 48 minors" in capsys.readouterr().err
 
 
 def test_library_value_error_propagates(monkeypatch, nonprincipal_file):

@@ -9,8 +9,8 @@ from dedarr import modstruct as ms
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import (exhaustive_layer_poset, flats_above,
-                      hasse_covers_by_triples, layer_digest,
+from conftest import (determinant_coset_count, exhaustive_layer_poset,
+                      flats_above, hasse_covers_by_triples, layer_digest,
                       mobius_by_recursion, rand_small_arrangement)
 
 Z = rg.rational_integers()
@@ -168,6 +168,45 @@ def test_layer_poset_matches_exhaustive_loop():
         stripped, _ = cq.strip_primes(cq.lcm_period(A), gens)
         assert (layer_digest(ly.layer_poset(A, period=stripped))
                 == layer_digest(exhaustive_layer_poset(A, stripped)))
+
+
+def check_coset_counts(A, kappa, lattice):
+    P = ly.LayerPoset(A, kappa, lattice, kappa.least_integer(), [], {})
+    for flat in lattice.flats:
+        if flat.dim == 0:
+            continue
+        counts = P.coset_counts(flat.id)
+        for j in range(A.n):
+            if j not in flat.J:
+                assert counts[j] == determinant_coset_count(P, flat.id, j), \
+                    (A.columns, kappa, flat.id, j)
+    return P
+
+
+def test_coset_counts_match_determinants():
+    # the count of every (flat, j), read off one image per flat, against
+    # the determinant formula, at every divisor of the period
+    h4 = rootsys.builtin("H4").arrangement
+    cases = [rootsys.builtin("H3").arrangement,
+             cq.Arrangement(h4.ring, h4.columns[:24])]
+    cases += small_period_arrangements(random.Random(71), 6)
+    for A in cases:
+        lattice = ly.FlatLattice(A)
+        for kappa in cq.lcm_period(A).divisors():
+            check_coset_counts(A, kappa, lattice)
+
+
+def test_layer_path_past_the_int64_image_bound():
+    # Gaussian primes of norms 73, 89, 97, 101 and 109: m = 6,937,970,881
+    # and D*m^2 >= 2^63, so the image is formed with Python ints
+    A = cq.Arrangement(ZI, [[(3, 8)], [(5, 8)], [(4, 9)], [(1, 10)],
+                            [(3, 10)]])
+    rho = cq.lcm_period(A)
+    assert rho.least_integer() == 73 * 89 * 97 * 101 * 109
+    P = check_coset_counts(A, rho, ly.FlatLattice(A))
+    assert P.lattice.D * P.m ** 2 >= 2 ** 63 and P._C.dtype == object
+    assert (cq.constituents(A, path="layers")
+            == cq.constituents(A, path="subset"))
 
 
 def test_wrong_layer_registration_is_caught(monkeypatch):
