@@ -32,7 +32,7 @@ from .ring import Ideal, PrimeValuator
 
 SUBSET_PATH_MAX_N = 22
 AUTO_SUBSET_MAX_N = 12
-MINOR_TABLE_BUDGET = 10 ** 7  # entries of lcm_period's minor tables
+MINOR_TABLE_BUDGET = 10 ** 7  # entries of one _minor_tables call
 LEAF_CHUNK = 2 ** 14  # basis minors formed at once by lcm_period
 
 
@@ -187,74 +187,6 @@ def subset_data(A):
     return out
 
 
-class _MinorSweep:
-    """Shared minor cache for column-subset DFS walks."""
-
-    def __init__(self, A):
-        self.A = A
-        self.ring = A.ring
-        self.ell = A.ell
-        self.minors = {}
-        for i in range(A.ell):
-            for j in range(A.n):
-                self.minors[((i,), (j,))] = A.columns[j][i]
-
-    def push_column(self, cols_old, j, sizes):
-        """Add minors of the given sizes using column j.
-
-        Sizes beyond 1 must come with their building blocks cached, i.e.
-        the (size-1)-minors of ``cols_old`` must already be present.
-        Returns (added keys, values per size).
-        """
-        ring = self.ring
-        minors = self.minors
-        column = self.A.columns[j]
-        quadratic = ring.degree == 2
-        wt, wn = ring.omega_trace, ring.omega_norm
-        added = []
-        new_by_size = {1: [minors[((i,), (j,))] for i in range(self.ell)]}
-        for size in sizes:
-            if size < 2 or size > self.ell:
-                continue
-            vals = []
-            col_subs = list(combinations(cols_old, size - 1))
-            for rows in combinations(range(self.ell), size):
-                for sub in col_subs:
-                    key = (rows, sub + (j,))
-                    if quadratic:
-                        # Laplace expansion along the new column, with the
-                        # quadratic product (a+bw)(e+fw) inlined
-                        acc0 = acc1 = 0
-                        for t in range(size):
-                            rsub = rows[:t] + rows[t + 1:]
-                            e, f = minors[(rsub, sub)]
-                            a, b = column[rows[t]]
-                            bf = b * f
-                            if (t + size) % 2:
-                                acc0 += a * e - wn * bf
-                                acc1 += a * f + b * e + wt * bf
-                            else:
-                                acc0 -= a * e - wn * bf
-                                acc1 -= a * f + b * e + wt * bf
-                        acc = (acc0, acc1)
-                    else:
-                        acc0 = 0
-                        for t in range(size):
-                            rsub = rows[:t] + rows[t + 1:]
-                            term = column[rows[t]][0] * minors[(rsub, sub)][0]
-                            acc0 += term if (t + size) % 2 else -term
-                        acc = (acc0,)
-                    minors[key] = acc
-                    added.append(key)
-                    vals.append(acc)
-            new_by_size[size] = vals
-        return added, new_by_size
-
-    def pop(self, added):
-        for key in added:
-            del self.minors[key]
-
-
 def _kernel_bound(ring, entry, size):
     """A bound on every integer the lcm kernel forms.
 
@@ -334,6 +266,42 @@ def _comb_index(c, n):
     return idx
 
 
+def _minor_tables(A, top, exact):
+    """The minors of every column subset of size at most ``top``.
+
+    Returns (X, tables, parents, lasts).  X holds the columns, one row per
+    column.  tables[s] holds the s-minors of the s-subsets of the n
+    columns in combinations order: one row per column set, one column per
+    s-subset of the ell rows, the coordinates on the last axis; tables[0]
+    is the 0-minor 1 of the empty set.  Row i of tables[s] is the set at
+    row parents[s][i] of tables[s - 1] plus the column lasts[s][i], and
+    is built by Laplace expansion along that column (lasts[0] is [-1]).
+    The dtype is int64 when _kernel_bound allows minors up to size
+    ``exact``, else object (Python ints).  Past MINOR_TABLE_BUDGET
+    entries, BudgetExceeded is raised before any table is formed.
+    """
+    ring = A.ring
+    n, ell, deg = A.n, A.ell, ring.degree
+    size = sum(comb(n, s) * comb(ell, s) for s in range(1, top + 1))
+    if size > MINOR_TABLE_BUDGET:
+        raise BudgetExceeded(
+            f"a minor table up to size {top} needs {size} minors of column "
+            f"subsets, over the budget of {MINOR_TABLE_BUDGET}")
+    entry = max((abs(c) for col in A.columns for x in col for c in x),
+                default=0)
+    dtype = zl.exact_dtype(_kernel_bound(ring, entry, exact))
+    X = np.array([[list(x) for x in col] for col in A.columns], dtype=dtype)
+    table = np.zeros((1, 1, deg), dtype=dtype)
+    table[0, 0, 0] = 1
+    tables, parents, lasts = [table], [None], [np.array([-1])]
+    for s in range(1, top + 1):
+        parent, cols = _children(lasts[-1], n)
+        tables.append(_extend(ring, X, tables[-1], parent, cols, s))
+        parents.append(parent)
+        lasts.append(cols)
+    return X, tables, parents, lasts
+
+
 def lcm_period(A):
     """The lcm of the last invariant factors d(J), over the bases of A.
 
@@ -345,16 +313,13 @@ def lcm_period(A):
     subset at equal rank only grows the last invariant factor, so that is
     also the lcm over every subset.
 
-    The minors of every column subset of size below r are built size by
-    size as numpy tables, by Laplace expansion along the last column.  The
-    bases P + (j,), P an (r-1)-subset and j > max P, are then formed in
-    blocks and visited in lex order: a basis has a nonzero r-minor, and
-    d = E_r * E_(r-1)^(-1) of its determinantal ideals.  When r = ell,
-    E_ell = (g) for its one maximal minor g, and d contains (g): a basis
-    whose g is a unit or divides the lcm found so far forms no ideal.
-    The tables are int64 when _kernel_bound allows, else Python ints.
-    Past MINOR_TABLE_BUDGET table entries, BudgetExceeded is raised
-    before any is formed.
+    The minors of every column subset of size below r come from
+    _minor_tables.  The bases P + (j,), P an (r-1)-subset and j > max P,
+    are then formed in blocks and visited in lex order: a basis has a
+    nonzero r-minor, and d = E_r * E_(r-1)^(-1) of its determinantal
+    ideals.  When r = ell, E_ell = (g) for its one maximal minor g, and d
+    contains (g): a basis whose g is a unit or divides the lcm found so
+    far forms no ideal.
     """
     ring = A.ring
     unit = Ideal.unit(ring)
@@ -362,30 +327,13 @@ def lcm_period(A):
         return unit
     n, ell, deg = A.n, A.ell, ring.degree
     r = ms.rank_over_K(A.coeff_matrix(range(n)))
-    size = sum(comb(n, s) * comb(ell, s) for s in range(1, r))
-    if size > MINOR_TABLE_BUDGET:
-        raise BudgetExceeded(
-            f"the lcm period needs {size} minors of column subsets, over "
-            f"the budget of {MINOR_TABLE_BUDGET}")
-    entry = max(abs(c) for col in A.columns for x in col for c in x)
-    dtype = zl.exact_dtype(_kernel_bound(ring, entry, r))
-    X = np.array([[list(x) for x in col] for col in A.columns], dtype=dtype)
-    # the 0-minor of the empty set is one
-    table = np.zeros((1, 1, deg), dtype=dtype)
-    table[0, 0, 0] = 1
-    last = np.array([-1])
-    parents, lasts = [], []
-    for s in range(1, r):
-        parent, cols = _children(last, n)
-        table = _extend(ring, X, table, parent, cols, s)
-        parents.append(parent)
-        lasts.append(cols)
-        last = cols
+    X, tables, parents, lasts = _minor_tables(A, r - 1, r)
+    table, last = tables[-1], lasts[-1]
 
     def columns_of(p):
         # the (r-1)-subset at row p of the table
         out = []
-        for parent, cols in zip(reversed(parents), reversed(lasts)):
+        for parent, cols in zip(reversed(parents[1:]), reversed(lasts[1:])):
             out.append(int(cols[p]))
             p = parent[p]
         return out[::-1]
@@ -441,12 +389,13 @@ def _constituents_subset_sum(A, rho):
     ring = A.ring
     ell = A.ell
     n = A.n
+    deg = ring.degree
+    _, tables, _, _ = _minor_tables(A, min(ell, n), min(ell, n))
     primes = [p for p, _ in rho.factor()]
     vals = [PrimeValuator(p) for p in primes]
     np_ = len(primes)
     INF = 10 ** 9
     counts = {}
-    sweep = _MinorSweep(A)
 
     def record(size, rank, evals):
         key = (rank, evals)
@@ -456,15 +405,18 @@ def _constituents_subset_sum(A, rho):
 
     def walk(cols, rank, evals, start):
         size = len(cols)
+        # the s-minors that column j adds are the table rows of the sets
+        # sub + (j,), sub in combinations(cols, s - 1); in lex order those
+        # rows follow one another as j runs up from start
+        rows = [None] + [
+            np.array([_comb_index(sub + (start,), n)
+                      for sub in combinations(cols, s - 1)]) - start
+            for s in range(1, min(size + 1, ell) + 1)]
         for j in range(start, n):
-            added, new_by_size = sweep.push_column(
-                cols, j, range(2, min(size + 1, ell) + 1))
             # child rank
             child_rank = rank
-            if rank < ell and size + 1 > rank:
-                top = new_by_size.get(rank + 1, ())
-                if any(not ring.is_zero(v) for v in top):
-                    child_rank = rank + 1
+            if rank < ell and tables[rank + 1][rows[rank + 1] + j].any():
+                child_rank = rank + 1
             # child valuations of E_1..E_child_rank (per size, per prime)
             child_evals = []
             for s in range(1, child_rank + 1):
@@ -472,18 +424,18 @@ def _constituents_subset_sum(A, rho):
                     base = list(evals[s - 1])
                 else:
                     base = [INF] * np_
-                news = new_by_size.get(s, ())
-                for pi in range(np_):
-                    if base[pi] == 0:
-                        continue
-                    for g in news:
-                        if ring.is_zero(g):
+                if any(base):
+                    minors = tables[s][rows[s] + j].reshape(-1, deg)
+                    minors = minors[minors.any(axis=1)].tolist()
+                    for pi in range(np_):
+                        if base[pi] == 0:
                             continue
-                        v = vals[pi].ord_element(g)
-                        if v < base[pi]:
-                            base[pi] = v
-                            if v == 0:
-                                break
+                        for g in minors:
+                            v = vals[pi].ord_element(g)
+                            if v < base[pi]:
+                                base[pi] = v
+                                if v == 0:
+                                    break
                 child_evals.append(tuple(base))
             child_evals = tuple(child_evals)
             rem = n - j - 1
@@ -496,8 +448,8 @@ def _constituents_subset_sum(A, rho):
                     record(size + 1, child_rank, child_evals)
             else:
                 record(size + 1, child_rank, child_evals)
-                walk(cols + (j,), child_rank, child_evals, j + 1)
-            sweep.pop(added)
+                if rem:
+                    walk(cols + (j,), child_rank, child_evals, j + 1)
 
     walk((), 0, (), 0)
 
@@ -525,12 +477,12 @@ def _constituents_subset_sum(A, rho):
 
 def constituents(A, path="auto"):
     """The characteristic quasi-polynomial of the arrangement."""
-    rho = lcm_period(A)
     if path not in ("auto", "subset", "layers"):
         raise ValueError(f"unknown path {path!r}")
     if path == "subset" and A.n > SUBSET_PATH_MAX_N:
         raise PathInfeasible(
             f"subset-sum path needs n <= {SUBSET_PATH_MAX_N}, got {A.n}")
+    rho = lcm_period(A)
     if path == "auto":
         path = "subset" if A.n <= AUTO_SUBSET_MAX_N else "layers"
     if path == "subset":

@@ -675,6 +675,11 @@ def layer_poset(A, period=None):
                             f"{parent}, which cut only {cosets}")
                 if not todo:
                     continue
+                if cosets > LAYER_BUDGET:
+                    # checked before the refinement lists its cosets
+                    raise ExponentTooLarge(
+                        f"flat {flat.id} and hyperplane {j} cut {cosets} "
+                        f"layers, over the budget of {LAYER_BUDGET}")
                 child = lattice.child[(flat.id, j)]
                 lam_child, pivots_child = poset.lam(child)
                 colmat = lattice.colmats[j]

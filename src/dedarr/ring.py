@@ -152,7 +152,7 @@ def _check_same_ring(a, b):
 class Ideal:
     """A nonzero ideal of the ring, as an HNF integer lattice."""
 
-    __slots__ = ("ring", "hnf", "_pivots", "_norm", "_smaller", "_prime")
+    __slots__ = ("ring", "hnf", "_norm", "_smaller", "_prime")
 
     def __init__(self, ring, hnf_rows):
         self.ring = ring
@@ -160,7 +160,6 @@ class Ideal:
         # set when the ideal was built as _smaller * _prime, the prime no
         # smaller than any prime of _smaller: factor() reads them back
         self._smaller = self._prime = None
-        self._pivots = list(range(ring.degree))
         self._norm = 1
         for i in range(ring.degree):
             self._norm *= self.hnf[i][i]
@@ -218,8 +217,8 @@ class Ideal:
         return self._norm == 1
 
     def contains(self, x):
-        return zl.in_lattice(list(x), [list(r) for r in self.hnf],
-                             self._pivots)
+        # a full-rank HNF has its pivots on the diagonal
+        return zl.in_lattice(x, self.hnf, range(self.ring.degree))
 
     def contains_ideal(self, other):
         _check_same_ring(self, other)
@@ -298,8 +297,7 @@ class Ideal:
 
     def reduce_element(self, x):
         """Canonical coset representative of x modulo the ideal."""
-        return tuple(zl.reduce_mod(list(x), [list(r) for r in self.hnf],
-                                   self._pivots))
+        return tuple(zl.reduce_mod(x, self.hnf, range(self.ring.degree)))
 
     def residues(self, budget=RESIDUE_BUDGET):
         """All residue classes, canonically reduced."""

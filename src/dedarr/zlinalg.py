@@ -188,21 +188,18 @@ def saturate(rows):
     return hnf(sat)[0]
 
 
-def _snf_work(rows, want_transforms):
+def snf_transforms(rows):
+    """Return (diag, U, V, Vinv) with U*A*V diagonal, U, V unimodular."""
     a = [list(r) for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
-    if want_transforms:
-        U = identity(m)
-        V = identity(n)
-        Vinv = identity(n)
-    else:
-        U = V = Vinv = None
+    U = identity(m)
+    V = identity(n)
+    Vinv = identity(n)
 
     def row_combine(i, k, x, y, fa, fb):
         # (row_i, row_k) <- (x*row_i + y*row_k, -fb*row_i + fa*row_k)
-        mats = (a, U) if want_transforms else (a,)
-        for mat in mats:
+        for mat in (a, U):
             ri, rk = mat[i], mat[k]
             for j in range(len(ri)):
                 u, v = ri[j], rk[j]
@@ -211,8 +208,7 @@ def _snf_work(rows, want_transforms):
 
     def row_sub(i, k, f):
         # row_k -= f * row_i
-        mats = (a, U) if want_transforms else (a,)
-        for mat in mats:
+        for mat in (a, U):
             ri, rk = mat[i], mat[k]
             for j in range(len(ri)):
                 rk[j] -= f * ri[j]
@@ -223,35 +219,32 @@ def _snf_work(rows, want_transforms):
             u, v = row[j], row[k]
             row[j] = x * u + y * v
             row[k] = -fb * u + fa * v
-        if want_transforms:
-            for row in V:
-                u, v = row[j], row[k]
-                row[j] = x * u + y * v
-                row[k] = -fb * u + fa * v
-            # inverse elementary matrix acts on Vinv rows
-            rj, rk = Vinv[j], Vinv[k]
-            for t in range(n):
-                u, v = rj[t], rk[t]
-                rj[t] = fa * u + fb * v
-                rk[t] = -y * u + x * v
+        for row in V:
+            u, v = row[j], row[k]
+            row[j] = x * u + y * v
+            row[k] = -fb * u + fa * v
+        # inverse elementary matrix acts on Vinv rows
+        rj, rk = Vinv[j], Vinv[k]
+        for t in range(n):
+            u, v = rj[t], rk[t]
+            rj[t] = fa * u + fb * v
+            rk[t] = -y * u + x * v
 
     def col_sub(j, k, f):
         # col_k -= f * col_j ;  inverse: row_j of Vinv += f * row_k
         for row in a:
             row[k] -= f * row[j]
-        if want_transforms:
-            for row in V:
-                row[k] -= f * row[j]
-            rj, rk = Vinv[j], Vinv[k]
-            for t in range(n):
-                rj[t] += f * rk[t]
+        for row in V:
+            row[k] -= f * row[j]
+        rj, rk = Vinv[j], Vinv[k]
+        for t in range(n):
+            rj[t] += f * rk[t]
 
     def neg_row(i):
         for j in range(n):
             a[i][j] = -a[i][j]
-        if want_transforms:
-            for j in range(m):
-                U[i][j] = -U[i][j]
+        for j in range(m):
+            U[i][j] = -U[i][j]
 
     def clear_block(t):
         # make row t and column t zero outside a[t][t]
@@ -295,15 +288,13 @@ def _snf_work(rows, want_transforms):
         i0, j0 = piv
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
-            if want_transforms:
-                U[t], U[i0] = U[i0], U[t]
+            U[t], U[i0] = U[i0], U[t]
         if j0 != t:
             for row in a:
                 row[t], row[j0] = row[j0], row[t]
-            if want_transforms:
-                for row in V:
-                    row[t], row[j0] = row[j0], row[t]
-                Vinv[t], Vinv[j0] = Vinv[j0], Vinv[t]
+            for row in V:
+                row[t], row[j0] = row[j0], row[t]
+            Vinv[t], Vinv[j0] = Vinv[j0], Vinv[t]
         clear_block(t)
         r_eff = t + 1
     # enforce the divisibility chain d_t | d_{t+1}
@@ -317,17 +308,14 @@ def _snf_work(rows, want_transforms):
                 col_sub(t + 1, t, -1)  # col_t += col_{t+1}
                 clear_block(t)
                 clear_block(t + 1)
-    diag = [a[i][i] for i in range(r_eff)]
-    if want_transforms:
-        return diag, a, U, V, Vinv
-    return diag, a, None, None, None
+    return [a[i][i] for i in range(r_eff)], U, V, Vinv
 
 
 def snf_diagonal(rows):
     """Invariant factors d_1 | d_2 | ... of the matrix (nonzero only)."""
     if not rows:
         return []
-    return _snf_work(rows, False)[0]
+    return snf_transforms(rows)[0]
 
 
 def small_snf_diagonal(rows):
@@ -355,12 +343,6 @@ def small_snf_diagonal(rows):
             if minors == floor:
                 return [d1, d1]
     return [d1, minors // d1]
-
-
-def snf_transforms(rows):
-    """Return (diag, U, V, Vinv) with U*A*V diagonal, U, V unimodular."""
-    diag, _, U, V, Vinv = _snf_work(rows, True)
-    return diag, U, V, Vinv
 
 
 def mat_mul(a, b):

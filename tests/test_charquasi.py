@@ -236,6 +236,83 @@ def test_minor_table_budget(monkeypatch):
     monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 359)
     with pytest.raises(BudgetExceeded, match="needs 360 minors"):
         cq.lcm_period(A)
+    # the subset walk also reads the 455 3-minors: 815 entries
+    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 815)
+    q = cq.constituents(A, path="subset")
+    assert q.constituents[rg.Ideal.unit(ZT)] == (-45, 59, -15, 1)
+    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 814)
+    with pytest.raises(BudgetExceeded, match="needs 815 minors"):
+        cq.constituents(A, path="subset")
+
+
+def constituents_by_definition(A):
+    """sum over all 2^n subsets J of (-1)^|J| m(J, kappa) t^(ell - r(J)),
+    at each divisor kappa of the lcm period."""
+    terms = [(0, 0, None)]
+    for size in range(1, A.n + 1):
+        for J in combinations(range(A.n), size):
+            inv = ms.invariant_factors(A.coeff_matrix(J))
+            terms.append((size, inv.rank, inv))
+    out = {}
+    for kappa in cq.lcm_period(A).divisors():
+        coeffs = [0] * (A.ell + 1)
+        for size, rank, inv in terms:
+            m = 1 if inv is None else cq.m_value(inv, kappa)
+            coeffs[A.ell - rank] += (-1) ** size * m
+        out[kappa] = tuple(coeffs)
+    return out
+
+
+def test_subset_walk_matches_definition(monkeypatch):
+    # the walk reads its minors off the tables _minor_tables builds, int64
+    # under the kernel bound and Python ints past it
+    dtypes = set()
+    build = cq._minor_tables
+
+    def recorded(A, top, exact):
+        out = build(A, top, exact)
+        if top == exact:  # the walk's call; lcm_period's stops below r
+            dtypes.add(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(cq, "_minor_tables", recorded)
+    rng = random.Random(53)
+    cases = []
+    for ring in (Z, ZI, Z5, ZT):
+        for ell, n in ((1, 3), (2, 4), (2, 6), (3, 5), (3, 6), (4, 5)):
+            cases.append((ring, rand_columns(rng, ring, ell, n,
+                                             bound=3 - ring.degree)))
+        if ring.degree == 2:
+            cases.append((ring, big_prime_columns(rng, ring, 3, 6)))
+        # entries up to 10^6 with the same minors: x_1 += M * x_2
+        M = ring.from_int(10 ** 6 // 4)
+        for ell, n in ((2, 4), (3, 5), (4, 6)):
+            cols = rand_columns(rng, ring, ell, n, bound=1)
+            cases.append((ring, [(ring.add(c[0], ring.mul(M, c[1])),) + c[1:]
+                                 for c in cols]))
+    checked = 0
+    for ring, cols in cases:
+        A = cq.Arrangement(ring, cols)
+        if len(cq.lcm_period(A).divisors()) > 1000:
+            continue  # the definition is slow past a thousand constituents
+        q = cq.constituents(A, path="subset")
+        assert q.constituents == constituents_by_definition(A), cols
+        checked += 1
+    assert checked == 34
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_constituents_checks_arguments_first(monkeypatch):
+    # a bad path or an oversized subset path fails before any work
+    def refuse(A):
+        raise AssertionError("lcm_period ran before the argument checks")
+
+    monkeypatch.setattr(cq, "lcm_period", refuse)
+    A = cq.Arrangement(Z, [[(1,), (k,)] for k in range(1, 25)])
+    with pytest.raises(ValueError, match="unknown path"):
+        cq.constituents(A, path="bogus")
+    with pytest.raises(PathInfeasible):
+        cq.constituents(A, path="subset")
 
 
 def test_constituents_gaussian(gaussian_arrangement):

@@ -228,6 +228,34 @@ def test_budget_exit_code(tmp_path, monkeypatch, capsys):
     rc, out = run(["period", str(path)])
     assert rc == 3 and out == ""
     assert "needs 48 minors" in capsys.readouterr().err
+    # the subset walk's tables: six columns of rank 2 need 6*2 entries for
+    # the period and 15 more 2-minors for the walk
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps({"ring": {"type": "Z"}, "columns": cols[:6]}))
+    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 27)
+    rc, out = run(["constituents", str(path), "--path", "subset"])
+    assert rc == 0 and out != ""
+    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 26)
+    capsys.readouterr()
+    rc, out = run(["constituents", str(path), "--path", "subset"])
+    assert rc == 3 and out == ""
+    assert "needs 27 minors" in capsys.readouterr().err
+
+
+def test_huge_coset_count_exits_3(tmp_path):
+    # the ambient flat cuts 2^31 layers from H_0 and from H_1: the count is
+    # compared with the layer budget before any of them is listed
+    big = 2 ** 31
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"ring": {"type": "Z"},
+                                "columns": [[big, big], [-big, big],
+                                            [big, 3]]}))
+    for argv in (["layers", str(path)],
+                 ["constituents", str(path), "--path", "layers"]):
+        start = time.monotonic()
+        rc, out = run(argv)
+        assert rc == 3 and out == ""
+        assert time.monotonic() - start < 10
 
 
 def test_library_value_error_propagates(monkeypatch, nonprincipal_file):

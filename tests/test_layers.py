@@ -596,6 +596,34 @@ def test_layer_budget(gaussian_arrangement, monkeypatch):
         ly.layer_poset(gaussian_arrangement)
 
 
+def test_refinement_coset_budget(monkeypatch):
+    # the Z line with the column (5): the ambient flat and H_0 cut 5 layers,
+    # one per point x with 5x in Z, and the poset has 6 layers
+    from dedarr.errors import ExponentTooLarge
+    A = cq.Arrangement(Z, [[(5,)]])
+    built = []
+    refinement = ly._Refinement
+
+    def recorded(*args):
+        built.append(args[-1])
+        return refinement(*args)
+
+    monkeypatch.setattr(ly, "_Refinement", recorded)
+    monkeypatch.setattr(ly, "LAYER_BUDGET", 6)
+    assert len(ly.layer_poset(A).layers) == 6
+    assert built == [5]
+    # at 5 the refinement is built and the sixth layer trips the budget
+    monkeypatch.setattr(ly, "LAYER_BUDGET", 5)
+    with pytest.raises(ExponentTooLarge, match="layer count exceeded"):
+        ly.layer_poset(A)
+    # below 5 the coset count trips it before the refinement is built
+    built.clear()
+    monkeypatch.setattr(ly, "LAYER_BUDGET", 4)
+    with pytest.raises(ExponentTooLarge, match="cut 5 layers"):
+        ly.layer_poset(A)
+    assert built == []
+
+
 def test_localized_poset_partial_strip(nonprincipal_arrangement):
     A = nonprincipal_arrangement
     P = ly.layer_poset(A)
