@@ -390,7 +390,9 @@ def _constituents_subset_sum(A, rho):
     ell = A.ell
     n = A.n
     deg = ring.degree
-    _, tables, _, _ = _minor_tables(A, min(ell, n), min(ell, n))
+    # no subset has rank above r, so no table past size r is read
+    r = ms.rank_over_K(A.coeff_matrix(range(n))) if n else 0
+    _, tables, _, _ = _minor_tables(A, r, r)
     primes = [p for p, _ in rho.factor()]
     vals = [PrimeValuator(p) for p in primes]
     np_ = len(primes)
@@ -411,11 +413,11 @@ def _constituents_subset_sum(A, rho):
         rows = [None] + [
             np.array([_comb_index(sub + (start,), n)
                       for sub in combinations(cols, s - 1)]) - start
-            for s in range(1, min(size + 1, ell) + 1)]
+            for s in range(1, min(size + 1, r) + 1)]
         for j in range(start, n):
             # child rank
             child_rank = rank
-            if rank < ell and tables[rank + 1][rows[rank + 1] + j].any():
+            if rank < r and (tables[rank + 1][rows[rank + 1] + j] != 0).any():
                 child_rank = rank + 1
             # child valuations of E_1..E_child_rank (per size, per prime)
             child_evals = []
@@ -426,7 +428,7 @@ def _constituents_subset_sum(A, rho):
                     base = [INF] * np_
                 if any(base):
                     minors = tables[s][rows[s] + j].reshape(-1, deg)
-                    minors = minors[minors.any(axis=1)].tolist()
+                    minors = minors[(minors != 0).any(axis=1)].tolist()
                     for pi in range(np_):
                         if base[pi] == 0:
                             continue

@@ -243,6 +243,22 @@ def test_minor_table_budget(monkeypatch):
     monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 814)
     with pytest.raises(BudgetExceeded, match="needs 815 minors"):
         cq.constituents(A, path="subset")
+    # six Z columns of rank 2 in ell = 4: the walk reads minors up to size
+    # 2 only, 6*4 + 15*6 = 114 entries, and no 3- or 4-minors (95 more)
+    rng = random.Random(7)
+    cols = []
+    while len(cols) < 6:
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        if (x, y) != (0, 0) and all(x * c[1][0] != y * c[0][0] for c in cols):
+            cols.append(((x,), (y,), (x + y,), (2 * x - y,)))
+    A = cq.Arrangement(Z, cols)
+    assert ms.rank_over_K(A.coeff_matrix(range(6))) == 2
+    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 114)
+    assert cq.constituents(A, path="subset").constituents == \
+        constituents_by_definition(A)
+    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 113)
+    with pytest.raises(BudgetExceeded, match="needs 114 minors"):
+        cq.constituents(A, path="subset")
 
 
 def constituents_by_definition(A):
