@@ -18,7 +18,6 @@ from math import comb
 
 import numpy as np
 
-from . import modstruct as ms
 from . import zlinalg as zl
 from .errors import (
     BudgetExceeded,
@@ -27,7 +26,7 @@ from .errors import (
     PathInfeasible,
     ZeroInMultiplicativeSet,
 )
-from .quasipoly import QuasiPolynomial, ring_from_json, ring_to_json
+from .quasipoly import QuasiPolynomial, ring_from_json
 from .ring import Ideal, PrimeValuator
 
 SUBSET_PATH_MAX_N = 22
@@ -75,7 +74,7 @@ class Arrangement:
 
     def coeff_matrix(self, subset):
         cols = [self.columns[j] for j in subset]
-        return ms.CoeffMatrix.from_columns(self.ring, cols)
+        return CoeffMatrix.from_columns(self.ring, cols)
 
     def column_restriction(self, j):
         """Integer rows of multiplication by column j on Z^(deg*ell)."""
@@ -93,18 +92,33 @@ class Arrangement:
         return f"Arrangement({label}, ell={self.ell}, {self.ring!r})"
 
 
-def arrangement_to_json(A):
-    data = {"ring": ring_to_json(A.ring), "columns": []}
-    if A.name:
-        data["name"] = A.name
-    for col in A.columns:
-        if A.ring.degree == 1:
-            data["columns"].append([x[0] for x in col])
-        else:
-            data["columns"].append([list(x) for x in col])
-    if not A.columns:
-        data["ell"] = A.ell
-    return data
+class CoeffMatrix:
+    """An ell x k matrix of ring elements (columns are the c_j)."""
+
+    __slots__ = ("ring", "rows")
+
+    def __init__(self, ring, rows):
+        self.ring = ring
+        self.rows = tuple(tuple(ring.element(x) for x in row) for row in rows)
+        if not self.rows or not self.rows[0]:
+            raise ValueError("matrix must be nonempty")
+        if len({len(r) for r in self.rows}) != 1:
+            raise ValueError("ragged rows")
+
+    @classmethod
+    def from_columns(cls, ring, columns):
+        ell = len(columns[0])
+        rows = [[columns[j][i] for j in range(len(columns))]
+                for i in range(ell)]
+        return cls(ring, rows)
+
+    @property
+    def nrows(self):
+        return len(self.rows)
+
+    @property
+    def ncols(self):
+        return len(self.rows[0])
 
 
 def arrangement_from_json(data):
@@ -174,17 +188,19 @@ def parse_element_list(ring, text):
 
 
 # ---------------------------------------------------------------------------
-# subset data and the LCM-period
+# the LCM-period
 
 
-def subset_data(A):
-    """Invariant factors for every J with 1 <= |J| <= min(ell, n)."""
-    out = {}
-    bound = min(A.ell, A.n)
-    for size in range(1, bound + 1):
-        for J in combinations(range(A.n), size):
-            out[frozenset(J)] = ms.invariant_factors(A.coeff_matrix(J))
-    return out
+def _rank(A):
+    """Rank of the arrangement over the fraction field.
+
+    Read off FlatLattice's matrix [colmat_0 | colmat_1 | ...] of x -> x*C
+    over Z; restricting scalars multiplies every rank by the degree.
+    """
+    deg = A.ring.degree
+    mats = [A.column_restriction(j) for j in range(A.n)]
+    rows = [[x for cm in mats for x in cm[i]] for i in range(deg * A.ell)]
+    return zl.rank(rows) // deg
 
 
 def _kernel_bound(ring, entry, size):
@@ -326,7 +342,7 @@ def lcm_period(A):
     if A.n == 0:
         return unit
     n, ell, deg = A.n, A.ell, ring.degree
-    r = ms.rank_over_K(A.coeff_matrix(range(n)))
+    r = _rank(A)
     X, tables, parents, lasts = _minor_tables(A, r - 1, r)
     table, last = tables[-1], lasts[-1]
 
@@ -391,7 +407,7 @@ def _constituents_subset_sum(A, rho):
     n = A.n
     deg = ring.degree
     # no subset has rank above r, so no table past size r is read
-    r = ms.rank_over_K(A.coeff_matrix(range(n))) if n else 0
+    r = _rank(A)
     _, tables, _, _ = _minor_tables(A, r, r)
     primes = [p for p, _ in rho.factor()]
     vals = [PrimeValuator(p) for p in primes]
@@ -500,14 +516,6 @@ def constituents(A, path="auto"):
     return q
 
 
-def m_value(inv, kappa):
-    """|torsion of the kappa-reduced cokernel| = prod N(kappa + d_i)."""
-    m = 1
-    for d in inv.factors:
-        m *= (kappa + d).norm
-    return m
-
-
 def evaluate(A, a, qp=None):
     """Value of the characteristic quasi-polynomial at the ideal a."""
     if qp is None:
@@ -548,25 +556,18 @@ def minimality_certificate(A, qp=None, poset=None):
     if total != rho:
         raise CertificateFailure(
             "per-dimension annihilator lcms do not reproduce the period")
-    minimum, _ = qp.minimum_period()
-    if minimum != rho:
-        raise CertificateFailure("period reduced below the lcm period")
+    # a witness at every prime p says rho/p is no period, and the periods
+    # are the multiples of the minimum, so rho is the minimum
     witnesses = {}
-    divisors = rho.divisors()
     for p, _ in rho.factor():
-        reduced = rho / p
-        found = None
-        for k1, k2 in combinations(divisors, 2):
-            if (k1 + reduced) == (k2 + reduced) and \
-                    qp.constituents[k1] != qp.constituents[k2]:
-                found = (k1, k2)
-                break
-        if found is None:
+        kappa = qp.fibre_witness(p)
+        if kappa is None:
             raise CertificateFailure(
-                f"no witness pair for prime {p!r}")
-        witnesses[p] = found
+                f"period reduced below the lcm period: no witness pair for "
+                f"prime {p!r}")
+        witnesses[p] = (kappa, kappa * p)
     per_dimension = sorted(per_dim.items())
-    return MinimalityCertificate(rho, minimum, per_dimension, witnesses)
+    return MinimalityCertificate(rho, rho, per_dimension, witnesses)
 
 
 # ---------------------------------------------------------------------------

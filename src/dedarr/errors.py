@@ -1,4 +1,16 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and integers in messages."""
+
+
+def format_int(n):
+    """n in decimal below 2^63, else its bit length.
+
+    A budget message may name an integer the input makes arbitrarily
+    large, and Python refuses to print one past 4,300 digits: the message
+    itself would raise ValueError in place of the typed error.
+    """
+    if abs(n) < 2 ** 63:
+        return str(n)
+    return f"<{n.bit_length()}-bit integer>"
 
 
 class Error(Exception):
@@ -51,10 +63,6 @@ class ExponentTooLarge(BudgetError):
 
 class InternalCheckError(Error):
     """A mathematically impossible condition occurred (library bug)."""
-
-
-class NotPrime(InputError):
-    """A prime ideal was required."""
 
 
 class NonIntegralQuotient(InternalCheckError):

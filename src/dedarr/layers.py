@@ -20,7 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import zlinalg as zl
-from .errors import BudgetExceeded, CertificateFailure, ExponentTooLarge
+from .errors import (
+    BudgetExceeded,
+    CertificateFailure,
+    ExponentTooLarge,
+    format_int,
+)
 from .quasipoly import QuasiPolynomial
 from .ring import Ideal, format_factored
 
@@ -678,8 +683,9 @@ def layer_poset(A, period=None):
                 if cosets > LAYER_BUDGET:
                     # checked before the refinement lists its cosets
                     raise ExponentTooLarge(
-                        f"flat {flat.id} and hyperplane {j} cut {cosets} "
-                        f"layers, over the budget of {LAYER_BUDGET}")
+                        f"flat {flat.id} and hyperplane {j} cut "
+                        f"{format_int(cosets)} layers, over the budget of "
+                        f"{LAYER_BUDGET}")
                 child = lattice.child[(flat.id, j)]
                 lam_child, pivots_child = poset.lam(child)
                 colmat = lattice.colmats[j]

@@ -9,24 +9,12 @@ below (ell*(1 + |t| + |n|) + 1)*m^2, where w^2 = t*w - n.  An ideal for
 which that could reach 2^63 raises BudgetExceeded instead of wrapping.
 """
 
-import time
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, format_int
 
 DEFAULT_BUDGET = 10 ** 7
 CHUNK = 1 << 17
-
-
-@dataclass
-class CountReport:
-    ideal: object
-    norm: int
-    complement_count: int
-    kernel_counts: dict = field(default_factory=dict)
-    elapsed_s: float = 0.0
 
 
 def _residue_arrays(a):
@@ -69,7 +57,8 @@ def _reduction_modulus(ring, a, ell):
     t, n = ring.omega_trace, ring.omega_norm
     if (ell * (1 + abs(t) + abs(n)) + 1) * m * m >= 2 ** 63:
         raise BudgetExceeded(
-            f"entries modulo {m} could overflow int64 at ell = {ell}")
+            f"entries modulo {format_int(m)} could overflow int64 at "
+            f"ell = {ell}")
     return m
 
 
@@ -83,7 +72,8 @@ def _grid_chunks(a, ell, budget):
     total = norm ** ell
     if total > budget:
         raise BudgetExceeded(
-            f"{total} residue vectors exceed the budget of {budget}")
+            f"{format_int(total)} residue vectors exceed the budget of "
+            f"{budget}")
     per_coord = _residue_arrays(a)
     deg = len(per_coord)
     for start in range(0, total, CHUNK):
@@ -136,18 +126,3 @@ def brute_count_kernel(C, a, budget=DEFAULT_BUDGET):
                 break
         count += int(alive.sum())
     return count
-
-
-def count_report(arrangement, a, subsets=(), budget=DEFAULT_BUDGET):
-    """Complement count plus kernel counts for the requested column subsets."""
-    from .modstruct import CoeffMatrix
-    start = time.monotonic()
-    complement = brute_count_complement(arrangement, a, budget)
-    kernels = {}
-    for subset in subsets:
-        cols = [arrangement.columns[j] for j in subset]
-        C = CoeffMatrix.from_columns(arrangement.ring, cols)
-        kernels[tuple(subset)] = brute_count_kernel(C, a, budget)
-    return CountReport(ideal=a, norm=a.norm, complement_count=complement,
-                       kernel_counts=kernels,
-                       elapsed_s=time.monotonic() - start)

@@ -8,7 +8,7 @@ the generalized GCD property.
 """
 
 from .errors import RingMismatch
-from .ring import Ideal
+from .ring import Ideal, PrimeValuator
 
 
 def poly_eval(coeffs, t):
@@ -100,36 +100,39 @@ class QuasiPolynomial:
         consts = {k: self.constituent(k) for k in period.divisors()}
         return QuasiPolynomial(self.ring, period, consts)
 
+    def fibre_witness(self, p):
+        """The first divisor kappa, in divisor order, with
+        v_p(kappa) = v_p(rho) - 1 and f(kappa) != f(kappa * p); or None.
+
+        kappa + rho/p differs from kappa only when v_p(kappa) = v_p(rho),
+        and is then kappa/p.  So rho/p is a period exactly when no such
+        kappa exists, and (kappa, kappa * p) is a witness pair otherwise.
+        """
+        val = PrimeValuator(p)
+        e = val.ord_ideal(self.period)
+        for kappa in self._divisors:
+            if (val.ord_ideal(kappa) == e - 1 and self.constituents[kappa]
+                    != self.constituents[kappa * p]):
+                return kappa
+        return None
+
     def minimum_period(self):
         """Return (minimal period, reindexed quasi-polynomial).
 
-        Greedy per-prime reduction: since the periods of a quasi-polynomial
-        are exactly the multiples of the minimum period, rho/p is a period
-        iff the minimum still divides it, so stripping one prime at a time
-        reaches the minimum.
+        The periods of a quasi-polynomial are exactly the multiples of the
+        minimum period, so the primes are independent: each is stripped
+        for as long as ``fibre_witness`` finds nothing.
         """
-        period = self.period
-        consts = dict(self.constituents)
-        changed = True
-        while changed:
-            changed = False
-            for p, _ in period.factor():
-                candidate = period / p
-                cand_divs = candidate.divisors()
-                # rho/p is a period iff constituents agree on fibers of
-                # kappa -> kappa + rho/p
-                ok = True
-                for kappa, coeffs in consts.items():
-                    rep = kappa + candidate
-                    if consts[rep] != coeffs:
-                        ok = False
-                        break
-                if ok:
-                    period = candidate
-                    consts = {k: consts[k] for k in cand_divs}
-                    changed = True
+        q = self
+        for p, e in self.period.factor():
+            for _ in range(e):
+                if q.fibre_witness(p) is not None:
                     break
-        return period, QuasiPolynomial(self.ring, period, consts)
+                period = q.period / p
+                q = QuasiPolynomial(
+                    self.ring, period,
+                    {k: q.constituents[k] for k in period.divisors()})
+        return q.period, q
 
     def to_json_dict(self):
         from .ring import format_factored

@@ -17,8 +17,8 @@ from .errors import (
     ElementNotInModule,
     NonIntegralQuotient,
     NormFactorizationTooLarge,
-    NotPrime,
     RingMismatch,
+    format_int,
 )
 
 TRIAL_DIVISION_BOUND = 10 ** 3
@@ -303,7 +303,8 @@ class Ideal:
         """All residue classes, canonically reduced."""
         if self._norm > budget:
             raise BudgetExceeded(
-                f"residue system of size {self._norm} exceeds {budget}")
+                f"residue system of size {format_int(self._norm)} exceeds "
+                f"{budget}")
         if self.ring.degree == 1:
             return [(u,) for u in range(self.hnf[0][0])]
         a = self.hnf[0][0]
@@ -371,9 +372,6 @@ class PrimeFactorization:
             result = result * p.pow(e)
         return result
 
-    def primes(self):
-        return [p for p, _ in self.factors]
-
     def __iter__(self):
         return iter(self.factors)
 
@@ -433,13 +431,6 @@ class PrimeValuator:
         return self._powers[e]
 
 
-def ord_p(a, p):
-    """Largest e with p^e dividing a."""
-    if not p.is_prime():
-        raise NotPrime(f"{p!r} is not prime")
-    return PrimeValuator(p).ord_ideal(a)
-
-
 # -- integer factorization helpers --
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
@@ -490,7 +481,8 @@ def _pollard_rho(n):
 def _factor_int(n):
     """Factor a positive integer; raises past the configured budget."""
     if n > FACTOR_BUDGET:
-        raise NormFactorizationTooLarge(f"{n} exceeds 2^63 budget")
+        raise NormFactorizationTooLarge(
+            f"{format_int(n)} exceeds 2^63 budget")
     factors = {}
     for p in (2, 3, 5):
         while n % p == 0:

@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: HNF, SNF, kernels, saturation, cosets.
+"""Exact integer matrix routines: HNF, SNF, kernels, cosets.
 
 Matrices are lists (or tuples) of rows of Python ints, so everything is
 arbitrary precision.  Row convention throughout: a lattice is the set of
@@ -7,7 +7,6 @@ elsewhere take their dtype from ``exact_dtype``.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -167,27 +166,6 @@ def left_kernel(rows):
     return [row[n:] for row, p in zip(basis, pivots) if p >= n]
 
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-def right_kernel(rows):
-    """Basis (as rows) of {x : A * x^T = 0}."""
-    return left_kernel(transpose(rows))
-
-
-def saturate(rows):
-    """Saturation of the row lattice: (Q-span of rows) intersect Z^n."""
-    if not rows or not any(any(r) for r in rows):
-        return []
-    rk = right_kernel(rows)
-    if not rk:
-        n = len(rows[0])
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    sat = left_kernel(transpose(rk))
-    return hnf(sat)[0]
-
-
 def snf_transforms(rows):
     """Return (diag, U, V, Vinv) with U*A*V diagonal, U, V unimodular."""
     a = [list(r) for r in rows]
@@ -311,13 +289,6 @@ def snf_transforms(rows):
     return [a[i][i] for i in range(r_eff)], U, V, Vinv
 
 
-def snf_diagonal(rows):
-    """Invariant factors d_1 | d_2 | ... of the matrix (nonzero only)."""
-    if not rows:
-        return []
-    return snf_transforms(rows)[0]
-
-
 def small_snf_diagonal(rows):
     """Invariant factors of a matrix with one or two columns, from gcds.
 
@@ -402,51 +373,3 @@ def coset_reps(sub_rows, sup_rows):
                              if t else list(r))
         reps = grown
     return reps
-
-
-def quotient_invariants(rel_rows, n):
-    """Abelian invariants (>1 entries) of Z^n modulo the row lattice."""
-    if not rel_rows:
-        return []
-    diag = snf_diagonal(rel_rows)
-    return [d for d in diag if d > 1]
-
-
-def rational_solve(rows, target):
-    """One rational solution x of x * A = target, or None.
-
-    ``rows`` is A given by rows; x has one entry per row.
-    """
-    m = len(rows)
-    if m == 0:
-        return None if any(target) else []
-    n = len(rows[0])
-    # Gaussian elimination over Q on the transposed system
-    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(target[j])]
-           for j in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = None
-        for i in range(r, n):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][m]
-    return x

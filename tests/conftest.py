@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +8,9 @@ from dedarr import charquasi as cq
 from dedarr import layers as ly
 from dedarr import ring as rg
 from dedarr import zlinalg as zl
+from dedarr.errors import NonIntegralQuotient
+from dedarr.quasipoly import ring_to_json
+from dedarr.ring import Ideal
 
 
 @pytest.fixture(scope="session")
@@ -162,3 +167,246 @@ def hasse_covers_by_triples(P, chosen):
                        for t in chosen):
                 covers.add((i, k))
     return covers
+
+
+# ---------------------------------------------------------------------------
+# Module structure of cokernels, the paper's per-subset route.
+#
+# For a coefficient matrix C over the ring, the cokernel of x -> x*C
+# decomposes as a direct sum of cyclic torsion pieces O/d_1 + ... + O/d_r
+# (d_i dividing d_{i+1}) plus a projective part that never enters any
+# counting formula.  The d_i are recovered from the determinantal ideals
+#
+#     E_i = ideal generated by all i x i minors of C,  d_i = E_i * E_{i-1}^{-1}
+#
+# which is valid because both sides localize to the Smith normal form
+# identity over every discrete valuation ring.  The library reads the same
+# E_i off the numpy tables of ``charquasi._minor_tables``; this route forms
+# them per subset and is the reference the subset walk, the lcm period and
+# the layer path are checked against.  ``test_modstruct`` checks it in
+# turn against the explicit torsion module, computed independently by
+# restricting scalars to Z and taking Smith normal form.
+
+
+def restriction_rows(C):
+    """Integer matrix of x -> x*C after restricting scalars to Z.
+
+    Rows are indexed by (basis element of O^ell), columns by the Z-basis
+    of O^k; the row lattice is the image of the map.
+    """
+    ring = C.ring
+    deg = ring.degree
+    out = []
+    for i in range(C.nrows):
+        basis_elts = [ring.one]
+        if deg == 2:
+            basis_elts.append((0, 1))
+        for b in basis_elts:
+            row = []
+            for j in range(C.ncols):
+                prod = ring.mul(b, C.rows[i][j])
+                row.extend(prod)
+            out.append(row)
+    return out
+
+
+class SubsetInvariants:
+    """Rank over the fraction field plus the torsion invariant factors."""
+
+    __slots__ = ("rank", "factors")
+
+    def __init__(self, rank, factors):
+        self.rank = rank
+        self.factors = tuple(factors)
+
+    def __repr__(self):
+        return f"SubsetInvariants(rank={self.rank}, factors={self.factors!r})"
+
+    def __eq__(self, other):
+        return (isinstance(other, SubsetInvariants)
+                and self.rank == other.rank and self.factors == other.factors)
+
+    def __hash__(self):
+        return hash((self.rank, self.factors))
+
+    def last_factor(self):
+        return self.factors[-1] if self.factors else None
+
+    def torsion_size(self):
+        size = 1
+        for d in self.factors:
+            size *= d.norm
+        return size
+
+
+def rank_over_K(C):
+    """Rank of C over the fraction field."""
+    deg = C.ring.degree
+    r = zl.rank(restriction_rows(C))
+    assert r % deg == 0
+    return r // deg
+
+
+def _minor_table(C, max_size):
+    """All minors of sizes 1..max_size as {(rows, cols): value}."""
+    ring = C.ring
+    table = {}
+    for i in range(C.nrows):
+        for j in range(C.ncols):
+            table[((i,), (j,))] = C.rows[i][j]
+    for size in range(2, max_size + 1):
+        for rows in combinations(range(C.nrows), size):
+            for cols in combinations(range(C.ncols), size):
+                acc = ring.zero
+                last = cols[-1]
+                subcols = cols[:-1]
+                for t, r in enumerate(rows):
+                    sub = table[(rows[:t] + rows[t + 1:], subcols)]
+                    term = ring.mul(C.rows[r][last], sub)
+                    acc = ring.add(acc, term) if (t + size) % 2 else \
+                        ring.sub(acc, term)
+                table[(rows, cols)] = acc
+    return table
+
+
+def determinantal_ideals(C):
+    """E_1, ..., E_r with E_i generated by the i x i minors."""
+    ring = C.ring
+    r = rank_over_K(C)
+    if r == 0:
+        return []
+    table = _minor_table(C, r)
+    ideals = []
+    for size in range(1, r + 1):
+        gens = [v for (rows, cols), v in table.items()
+                if len(rows) == size and not ring.is_zero(v)]
+        ideals.append(Ideal.from_generators(ring, gens))
+    return ideals
+
+
+def invariant_factors(C):
+    """The torsion invariant factors of coker(x -> x*C)."""
+    ring = C.ring
+    ideals = determinantal_ideals(C)
+    factors = []
+    prev = Ideal.unit(ring)
+    for e in ideals:
+        d = e / prev
+        if factors and not factors[-1].divides(d):
+            raise NonIntegralQuotient("invariant factors fail to chain")
+        factors.append(d)
+        prev = e
+    return SubsetInvariants(len(ideals), factors)
+
+
+def subset_data(A):
+    """Invariant factors for every J with 1 <= |J| <= min(ell, n)."""
+    out = {}
+    bound = min(A.ell, A.n)
+    for size in range(1, bound + 1):
+        for J in combinations(range(A.n), size):
+            out[frozenset(J)] = invariant_factors(A.coeff_matrix(J))
+    return out
+
+
+def m_value(inv, kappa):
+    """|torsion of the kappa-reduced cokernel| = prod N(kappa + d_i)."""
+    m = 1
+    for d in inv.factors:
+        m *= (kappa + d).norm
+    return m
+
+
+def arrangement_to_json(A):
+    data = {"ring": ring_to_json(A.ring), "columns": []}
+    if A.name:
+        data["name"] = A.name
+    for col in A.columns:
+        if A.ring.degree == 1:
+            data["columns"].append([x[0] for x in col])
+        else:
+            data["columns"].append([list(x) for x in col])
+    if not A.columns:
+        data["ell"] = A.ell
+    return data
+
+
+# ---------------------------------------------------------------------------
+# Integer linear algebra references: Smith diagonals, saturation and
+# rational solutions, the checks of the HNF and SNF routines in zlinalg.
+
+
+def transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def right_kernel(rows):
+    """Basis (as rows) of {x : A * x^T = 0}."""
+    return zl.left_kernel(transpose(rows))
+
+
+def saturate(rows):
+    """Saturation of the row lattice: (Q-span of rows) intersect Z^n."""
+    if not rows or not any(any(r) for r in rows):
+        return []
+    rk = right_kernel(rows)
+    if not rk:
+        n = len(rows[0])
+        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    sat = zl.left_kernel(transpose(rk))
+    return zl.hnf(sat)[0]
+
+
+def snf_diagonal(rows):
+    """Invariant factors d_1 | d_2 | ... of the matrix (nonzero only)."""
+    if not rows:
+        return []
+    return zl.snf_transforms(rows)[0]
+
+
+def quotient_invariants(rel_rows, n):
+    """Abelian invariants (>1 entries) of Z^n modulo the row lattice."""
+    if not rel_rows:
+        return []
+    diag = snf_diagonal(rel_rows)
+    return [d for d in diag if d > 1]
+
+
+def rational_solve(rows, target):
+    """One rational solution x of x * A = target, or None.
+
+    ``rows`` is A given by rows; x has one entry per row.
+    """
+    m = len(rows)
+    if m == 0:
+        return None if any(target) else []
+    n = len(rows[0])
+    # Gaussian elimination over Q on the transposed system
+    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(target[j])]
+           for j in range(n)]
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        piv = None
+        for i in range(r, n):
+            if aug[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv_cols.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][m] != 0:
+            return None
+    x = [Fraction(0)] * m
+    for i, c in enumerate(piv_cols):
+        x[c] = aug[i][m]
+    return x

@@ -13,13 +13,13 @@ import pytest
 
 from dedarr import charquasi as cq
 from dedarr import layers as ly
-from dedarr import modstruct as ms
 from dedarr import oracle
 from dedarr import ring as rg
 from dedarr import rootsys
 from dedarr.quasipoly import poly_eval
 
-from conftest import flats_above, rand_small_arrangement
+from conftest import (flats_above, invariant_factors, m_value,
+                      rand_small_arrangement)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -353,7 +353,7 @@ def test_h4_degree_bound_for_agreeing_divisors(h4, h4_built):
     _, h4_qp, _ = h4_built
     A = h4.arrangement
     for j in range(A.n):
-        inv = ms.invariant_factors(A.coeff_matrix((j,)))
+        inv = invariant_factors(A.coeff_matrix((j,)))
         assert inv.factors[-1].is_unit_ideal()
     divs = h4_qp.divisors()
     for k1, k2 in combinations(divs, 2):
@@ -418,14 +418,14 @@ def test_criterion_12_property_suites(h4_built):
         while cases < 200:
             ring = rng.choice(RINGS)
             ell, ncols = rng.randint(1, 2), rng.randint(1, 2)
-            C = ms.CoeffMatrix(ring, [
+            C = cq.CoeffMatrix(ring, [
                 [tuple(rng.randint(-2, 2) for _ in range(ring.degree))
                  for _ in range(ncols)] for _ in range(ell)])
             a = rand_ideal(ring)
             if a.norm > 16 or a.norm ** ell > 300:
                 continue
-            inv = ms.invariant_factors(C)
-            predicted = a.norm ** (ell - inv.rank) * cq.m_value(inv, a)
+            inv = invariant_factors(C)
+            predicted = a.norm ** (ell - inv.rank) * m_value(inv, a)
             assert predicted == oracle.brute_count_kernel(C, a)
             cases += 1
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dedarr import charquasi as cq
-from dedarr import modstruct as ms
 from dedarr import oracle
 from dedarr import ring as rg
 from dedarr import rootsys
@@ -18,7 +17,9 @@ from dedarr.errors import (
     ZeroInMultiplicativeSet,
 )
 
-from conftest import rand_small_arrangement
+from conftest import (SubsetInvariants, _minor_table, arrangement_to_json,
+                      invariant_factors, m_value, rand_small_arrangement,
+                      rank_over_K, subset_data)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -41,7 +42,7 @@ def test_arrangement_validation():
 
 
 def test_subset_data_nonprincipal(nonprincipal_arrangement):
-    data = cq.subset_data(nonprincipal_arrangement)
+    data = subset_data(nonprincipal_arrangement)
     assert data[frozenset({0})].factors == (P5,)
     assert data[frozenset({1})].factors == (Q5,)
     both = data[frozenset({0, 1})]
@@ -50,12 +51,12 @@ def test_subset_data_nonprincipal(nonprincipal_arrangement):
 
 def test_subset_data_single_unimodular():
     A = cq.Arrangement(Z, [[(1,), (3,)]])
-    data = cq.subset_data(A)
+    data = subset_data(A)
     assert data[frozenset({0})].factors[0].is_unit_ideal()
 
 
 def test_subset_data_gaussian(gaussian_arrangement):
-    data = cq.subset_data(gaussian_arrangement)
+    data = subset_data(gaussian_arrangement)
     p = rg.Ideal.from_generators(ZI, [(1, 1)])
     two = rg.Ideal.principal(ZI, (2, 0))
     pair_lasts = sorted(
@@ -79,7 +80,7 @@ def test_lcm_period_examples(gaussian_arrangement, nonprincipal_arrangement):
 
 def full_range_lcm(A):
     full = rg.Ideal.unit(A.ring)
-    for inv in cq.subset_data(A).values():
+    for inv in subset_data(A).values():
         last = inv.last_factor()
         if last is not None and not last.contains_ideal(full):
             full = full.intersect(last)
@@ -212,18 +213,18 @@ def test_kernel_bound():
     for ring in (Z, ZI, Z5, ZT):
         for size in (1, 2, 3, 4):
             for entry in (1, 2, 7):
-                C = ms.CoeffMatrix(ring, [
+                C = cq.CoeffMatrix(ring, [
                     [tuple(rng.choice((-entry, entry, rng.randint(
                         -entry, entry))) for _ in range(ring.degree))
                      for _ in range(size)] for _ in range(size)])
                 bound = cq._kernel_bound(ring, entry, size)
-                for v in ms._minor_table(C, size).values():
+                for v in _minor_table(C, size).values():
                     assert all(abs(c) <= bound for c in v)
-                det = ms._minor_table(C, size)[
+                det = _minor_table(C, size)[
                     (tuple(range(size)), tuple(range(size)))]
                 assert abs(ring.norm(det)) <= bound
     C = [[(5,), (5,)], [(-5,), (5,)]]
-    det = ms._minor_table(ms.CoeffMatrix(Z, C), 2)[((0, 1), (0, 1))]
+    det = _minor_table(cq.CoeffMatrix(Z, C), 2)[((0, 1), (0, 1))]
     assert det == (cq._kernel_bound(Z, 5, 2),)
 
 
@@ -252,7 +253,7 @@ def test_minor_table_budget(monkeypatch):
         if (x, y) != (0, 0) and all(x * c[1][0] != y * c[0][0] for c in cols):
             cols.append(((x,), (y,), (x + y,), (2 * x - y,)))
     A = cq.Arrangement(Z, cols)
-    assert ms.rank_over_K(A.coeff_matrix(range(6))) == 2
+    assert rank_over_K(A.coeff_matrix(range(6))) == 2
     monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 114)
     assert cq.constituents(A, path="subset").constituents == \
         constituents_by_definition(A)
@@ -261,19 +262,69 @@ def test_minor_table_budget(monkeypatch):
         cq.constituents(A, path="subset")
 
 
+def test_rank_matches_reference():
+    # the rank lcm_period and the subset walk read off the restriction of
+    # scalars, against rank_over_K and the largest size of a nonzero minor
+    rng = random.Random(55)
+    kinds = {"random": 0, "deficient": 0, "dependent": 0, "zero row": 0}
+    short = 0
+    for ring in (Z, ZI, Z5, ZT):
+        for kind in kinds:
+            for _ in range(6):
+                ell, n = rng.randint(2, 4), rng.randint(1, 6)
+                if kind == "deficient":
+                    # every column a combination of k < ell columns
+                    k = rng.randint(1, ell - 1)
+                    base = rand_columns(rng, ring, ell, k, bound=2)
+                    cols = []
+                    while len(cols) < n:
+                        col = [ring.zero] * ell
+                        for b in base:
+                            c = tuple(rng.randint(-2, 2)
+                                      for _ in range(ring.degree))
+                            col = [ring.add(x, ring.mul(c, y))
+                                   for x, y in zip(col, b)]
+                        if any(any(x) for x in col):
+                            cols.append(tuple(col))
+                else:
+                    cols = rand_columns(rng, ring, ell, n, bound=2)
+                if kind == "dependent":
+                    # a multiple of one column and the sum of two
+                    f = tuple(rng.randint(1, 3) for _ in range(ring.degree))
+                    cols.append(tuple(ring.mul(f, x) for x in cols[0]))
+                    cols.append(tuple(ring.add(x, y)
+                                      for x, y in zip(cols[0], cols[-1])))
+                if kind == "zero row":
+                    cols = [(ring.zero,) + c[1:] for c in cols]
+                    cols = [c for c in cols if any(any(x) for x in c)]
+                    if not cols:
+                        continue
+                A = cq.Arrangement(ring, cols)
+                top = min(A.ell, A.n)
+                _, tables, _, _ = cq._minor_tables(A, top, top)
+                largest = max(s for s in range(top + 1)
+                              if (tables[s] != 0).any())
+                r = cq._rank(A)
+                assert r == rank_over_K(A.coeff_matrix(range(A.n))), cols
+                assert r == largest, cols
+                kinds[kind] += 1
+                short += r < top
+    assert min(kinds.values()) >= 20 and short >= 30, (kinds, short)
+
+
 def constituents_by_definition(A):
     """sum over all 2^n subsets J of (-1)^|J| m(J, kappa) t^(ell - r(J)),
     at each divisor kappa of the lcm period."""
     terms = [(0, 0, None)]
     for size in range(1, A.n + 1):
         for J in combinations(range(A.n), size):
-            inv = ms.invariant_factors(A.coeff_matrix(J))
+            inv = invariant_factors(A.coeff_matrix(J))
             terms.append((size, inv.rank, inv))
     out = {}
     for kappa in cq.lcm_period(A).divisors():
         coeffs = [0] * (A.ell + 1)
         for size, rank, inv in terms:
-            m = 1 if inv is None else cq.m_value(inv, kappa)
+            m = 1 if inv is None else m_value(inv, kappa)
             coeffs[A.ell - rank] += (-1) ** size * m
         out[kappa] = tuple(coeffs)
     return out
@@ -391,12 +442,12 @@ def test_empty_arrangement():
 
 
 def test_m_value_examples():
-    inv = ms.SubsetInvariants(1, (P5,))
-    assert cq.m_value(inv, PQ) == 2
-    assert cq.m_value(inv, rg.Ideal.unit(Z5)) == 1
+    inv = SubsetInvariants(1, (P5,))
+    assert m_value(inv, PQ) == 2
+    assert m_value(inv, rg.Ideal.unit(Z5)) == 1
     two = rg.Ideal.principal(ZI, (2, 0))
-    inv2 = ms.SubsetInvariants(2, (rg.Ideal.unit(ZI), two))
-    assert cq.m_value(inv2, two) == 4
+    inv2 = SubsetInvariants(2, (rg.Ideal.unit(ZI), two))
+    assert m_value(inv2, two) == 4
 
 
 def test_evaluate_examples(gaussian_arrangement, nonprincipal_arrangement):
@@ -436,7 +487,7 @@ def test_degree_bound_for_agreeing_divisors():
     for name in ("H3",):
         data = rootsys.builtin(name)
         A = data.arrangement
-        singles = [ms.invariant_factors(A.coeff_matrix((j,)))
+        singles = [invariant_factors(A.coeff_matrix((j,)))
                    for j in range(A.n)]
         assert all(inv.factors[-1].is_unit_ideal() for inv in singles)
         q = cq.constituents(A, path="layers")
@@ -503,17 +554,17 @@ def test_localize_nonprincipal(nonprincipal_arrangement):
 
 
 def test_arrangement_json_roundtrip(nonprincipal_arrangement):
-    data = cq.arrangement_to_json(nonprincipal_arrangement)
+    data = arrangement_to_json(nonprincipal_arrangement)
     back = cq.arrangement_from_json(data)
     assert back.columns == nonprincipal_arrangement.columns
     assert back.ring == nonprincipal_arrangement.ring
 
     A = cq.Arrangement(Z, [[(1,), (2,)], [(0,), (5,)]])
-    back = cq.arrangement_from_json(cq.arrangement_to_json(A))
+    back = cq.arrangement_from_json(arrangement_to_json(A))
     assert back.columns == A.columns
 
     empty = cq.Arrangement.empty(ZI, 3)
-    back = cq.arrangement_from_json(cq.arrangement_to_json(empty))
+    back = cq.arrangement_from_json(arrangement_to_json(empty))
     assert back.n == 0 and back.ell == 3
 
 

@@ -258,6 +258,39 @@ def test_huge_coset_count_exits_3(tmp_path):
         assert time.monotonic() - start < 10
 
 
+# the 6 x 16 Z probe of random entries in [-5, 5]: its lcm period has
+# 4,893 digits
+PROBE_6X16 = [
+    [-5, 2, 0, -3, 4, -4], [2, -5, -2, -1, -3, -2], [1, 1, 2, -4, -3, 2],
+    [1, 3, -1, -3, 1, 3], [-1, 1, 0, 5, 1, -2], [-3, -4, -3, -3, -2, 5],
+    [-2, -5, 2, 4, -3, -1], [-1, -5, -3, 1, 3, 0], [4, 4, 0, -3, 3, 4],
+    [5, 5, -5, 2, 5, 3], [1, 1, 1, 1, -4, 2], [5, 1, -5, -2, -4, -2],
+    [2, -3, -4, 0, 4, -5], [-4, -5, 4, -3, 3, -4], [0, 4, -5, -4, -2, 4],
+    [1, -3, 5, -1, 0, 4]]
+
+
+def test_huge_integers_exit_3(tmp_path, capsys):
+    # the refused norm (4,401 digits) and the refused period (4,893) are
+    # past Python's 4,300-digit limit on printing an int: the budget
+    # messages give their bit lengths, so the run exits 3
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps({"ring": {"type": "quadratic", "d": -1},
+                                "columns": [[[10 ** 2200, 0]]]}))
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps({"ring": {"type": "Z"},
+                                 "columns": PROBE_6X16}))
+    for argv in (["period", str(line)], ["constituents", str(line)],
+                 ["eval", str(line), "--ideal", "[6]"],
+                 ["layers", str(line)], ["period", str(probe)]):
+        capsys.readouterr()
+        start = time.monotonic()
+        rc, out = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 3 and out == "", argv
+        assert err.startswith("budget exceeded: ") and "-bit integer>" in err
+        assert time.monotonic() - start < 10
+
+
 def test_library_value_error_propagates(monkeypatch, nonprincipal_file):
     # only typed input errors exit 2; a ValueError from inside the library
     # is a fault and must not be reported as bad input

@@ -5,13 +5,14 @@ import pytest
 
 from dedarr import charquasi as cq
 from dedarr import layers as ly
-from dedarr import modstruct as ms
 from dedarr import ring as rg
 from dedarr import rootsys
 
 from conftest import (determinant_coset_count, exhaustive_layer_poset,
-                      flats_above, hasse_covers_by_triples, layer_digest,
-                      mobius_by_recursion, rand_small_arrangement)
+                      flats_above, hasse_covers_by_triples,
+                      invariant_factors, layer_digest, m_value,
+                      mobius_by_recursion, rand_small_arrangement,
+                      rank_over_K)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -115,7 +116,7 @@ def check_finding_rule(A):
             if x.codim != flat.codim - 1 or x.Jbits & flat.Jbits != x.Jbits:
                 continue
             common = sorted(z.J & x.J)
-            rank = ms.rank_over_K(A.coeff_matrix(common)) if common else 0
+            rank = rank_over_K(A.coeff_matrix(common)) if common else 0
             parent = P.project(z, x.id)
             if rank != x.codim:
                 assert parent is None  # J(parent) would not span X
@@ -316,11 +317,11 @@ def test_layer_counts_match_torsion_sizes(gaussian_arrangement,
         for flat in P.lattice.flats:
             if flat.codim == 0:
                 continue
-            inv = ms.invariant_factors(A.coeff_matrix(sorted(flat.J)))
+            inv = invariant_factors(A.coeff_matrix(sorted(flat.J)))
             at_flat = [z for z in P.layers
                        if z.flat_id == flat.id and z.J == flat.J]
             for kappa in rho.divisors():
-                expected = cq.m_value(inv, kappa)
+                expected = m_value(inv, kappa)
                 got = sum(1 for z in at_flat
                           if z.tau.contains_ideal(kappa + rho))
                 assert got == expected, (flat, kappa)
@@ -338,13 +339,13 @@ def test_layer_counts_random():
             P = ly.layer_poset(A)
             for size in range(1, A.n + 1):
                 for J in combinations(range(A.n), size):
-                    inv = ms.invariant_factors(A.coeff_matrix(J))
+                    inv = invariant_factors(A.coeff_matrix(J))
                     members = [z for z in P.layers
                                if set(J) <= z.J
                                and P.lattice.flats[z.flat_id].codim
                                == inv.rank]
                     for kappa in rho.divisors():
-                        expected = cq.m_value(inv, kappa)
+                        expected = m_value(inv, kappa)
                         got = sum(1 for z in members
                                   if z.tau.contains_ideal(kappa + rho))
                         assert got == expected, (A.columns, J, kappa)
@@ -477,7 +478,7 @@ def test_localization_recursion_consistency():
                         if not J:
                             continue
                         C = A.coeff_matrix(J)
-                        if ms.rank_over_K(C) == flat.codim:
+                        if rank_over_K(C) == flat.codim:
                             total += (-1) ** len(J)
                 assert z.mu == total, (A.columns, z)
 

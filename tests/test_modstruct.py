@@ -1,12 +1,15 @@
 import random
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
-from dedarr import modstruct as ms
+from dedarr import charquasi as cq
 from dedarr import ring as rg
 from dedarr import zlinalg as zl
 from dedarr.errors import ElementNotInModule
+
+from conftest import (determinantal_ideals, invariant_factors,
+                      quotient_invariants, rank_over_K, restriction_rows)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -19,11 +22,11 @@ Q5 = rg.Ideal.from_generators(Z5, [(3, 0), (1, 1)])
 
 
 def mat(ring, rows):
-    return ms.CoeffMatrix(ring, rows)
+    return cq.CoeffMatrix(ring, rows)
 
 
 def rand_matrix(rng, ring, ell, k, bound=3):
-    return ms.CoeffMatrix(
+    return cq.CoeffMatrix(
         ring,
         [[tuple(rng.randint(-bound, bound) for _ in range(ring.degree))
           for _ in range(k)] for _ in range(ell)])
@@ -115,7 +118,7 @@ def torsion_cokernel(C):
     ring = C.ring
     deg = ring.degree
     n = deg * C.ncols
-    rel = C.restriction_rows()
+    rel = restriction_rows(C)
     basis, _ = zl.hnf(rel)
     if not basis:
         return TorsionModule(ring, (), [], [])
@@ -143,41 +146,41 @@ def torsion_cokernel(C):
 
 def test_rank_examples():
     c = mat(Z5, [[(2, 0), (1, 1)], [(1, -1), (3, 0)]])
-    assert ms.rank_over_K(c) == 1
+    assert rank_over_K(c) == 1
     zero_col = mat(ZI, [[(0, 0)], [(0, 0)]])
-    assert ms.rank_over_K(zero_col) == 0
+    assert rank_over_K(zero_col) == 0
     c2 = mat(ZI, [[(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
-    assert ms.rank_over_K(c2) == 2
+    assert rank_over_K(c2) == 2
 
 
 def test_determinantal_ideal_examples():
     col = mat(Z5, [[(2, 0)], [(1, -1)]])
-    assert ms.determinantal_ideals(col) == [P5]
+    assert determinantal_ideals(col) == [P5]
 
     c = mat(Z5, [[(2, 0), (1, 1)], [(1, -1), (3, 0)]])
-    ideals = ms.determinantal_ideals(c)
+    ideals = determinantal_ideals(c)
     assert len(ideals) == 1 and ideals[0].is_unit_ideal()
 
     c2 = mat(ZI, [[(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
-    e1, e2 = ms.determinantal_ideals(c2)
+    e1, e2 = determinantal_ideals(c2)
     assert e1.is_unit_ideal()
     assert e2 == rg.Ideal.principal(ZI, (2, 0))
 
 
 def test_invariant_factors_examples():
     col = mat(Z5, [[(2, 0)], [(1, -1)]])
-    inv = ms.invariant_factors(col)
+    inv = invariant_factors(col)
     assert inv.rank == 1 and inv.factors == (P5,)
 
     c2 = mat(ZI, [[(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
-    inv = ms.invariant_factors(c2)
+    inv = invariant_factors(c2)
     assert inv.rank == 2
     assert inv.factors[0].is_unit_ideal()
     assert inv.factors[1] == rg.Ideal.principal(ZI, (2, 0))
 
     for ring in RINGS:
         eye = mat(ring, [[ring.one, ring.zero], [ring.zero, ring.one]])
-        inv = ms.invariant_factors(eye)
+        inv = invariant_factors(eye)
         assert inv.rank == 2
         assert all(d.is_unit_ideal() for d in inv.factors)
 
@@ -217,7 +220,7 @@ def abelian_invariants_of_sum(factors):
     """Abelian invariants of the direct sum of O/d_i, via each HNF."""
     parts = []
     for d in factors:
-        parts.extend(zl.quotient_invariants(
+        parts.extend(quotient_invariants(
             [list(r) for r in d.hnf], d.ring.degree))
     if not parts:
         return ()
@@ -260,9 +263,9 @@ def test_structure_cross_check_random():
             ell = rng.randint(1, 3)
             k = rng.randint(1, 3)
             c = rand_matrix(rng, ring, ell, k)
-            if ms.rank_over_K(c) == 0:
+            if rank_over_K(c) == 0:
                 continue
-            inv = ms.invariant_factors(c)
+            inv = invariant_factors(c)
             m = torsion_cokernel(c)
             expect = abelian_invariants_of_sum(inv.factors)
             assert tuple(m.abelian_invariants()) == expect, (c.rows,)
@@ -304,7 +307,7 @@ def test_kernel_count_formula_random():
                        ring.from_int(rng.randint(1, 6))])
             if a.norm > 16 or a.norm ** ell > 600:
                 continue
-            inv = ms.invariant_factors(c)
+            inv = invariant_factors(c)
             predicted = a.norm ** (ell - inv.rank)
             for d in inv.factors:
                 predicted *= (a + d).norm
@@ -353,13 +356,13 @@ def test_last_factor_monotone_under_extension():
                 for _ in range(ell)) for _ in range(k)]
             if any(all(not any(x) for x in col) for col in cols):
                 continue
-            full = ms.CoeffMatrix.from_columns(ring, cols)
+            full = cq.CoeffMatrix.from_columns(ring, cols)
             size = rng.randint(1, k - 1)
             subset = sorted(rng.sample(range(k), size))
-            sub = ms.CoeffMatrix.from_columns(
+            sub = cq.CoeffMatrix.from_columns(
                 ring, [cols[j] for j in subset])
-            inv_full = ms.invariant_factors(full)
-            inv_sub = ms.invariant_factors(sub)
+            inv_full = invariant_factors(full)
+            inv_sub = invariant_factors(sub)
             if inv_full.rank != inv_sub.rank or inv_sub.rank == 0:
                 continue
             assert inv_full.last_factor().divides(inv_sub.last_factor())
@@ -380,10 +383,10 @@ def test_last_factor_divides_along_independent_extension():
             cols = [tuple(
                 tuple(rng.randint(-3, 3) for _ in range(ring.degree))
                 for _ in range(ell)) for _ in range(k + 1)]
-            small = ms.invariant_factors(
-                ms.CoeffMatrix.from_columns(ring, cols[:k])) if k else None
-            big = ms.invariant_factors(
-                ms.CoeffMatrix.from_columns(ring, cols))
+            small = invariant_factors(
+                cq.CoeffMatrix.from_columns(ring, cols[:k])) if k else None
+            big = invariant_factors(
+                cq.CoeffMatrix.from_columns(ring, cols))
             if big.rank != k + 1:
                 continue
             if small is None:

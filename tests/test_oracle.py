@@ -4,7 +4,6 @@ from itertools import combinations
 import pytest
 
 from dedarr import charquasi as cq
-from dedarr import modstruct as ms
 from dedarr import oracle
 from dedarr import ring as rg
 from dedarr import rootsys
@@ -35,16 +34,16 @@ def test_complement_examples(nonprincipal_arrangement):
 
 
 def test_kernel_examples():
-    col = ms.CoeffMatrix(Z5, [[(2, 0)], [(1, -1)]])
+    col = cq.CoeffMatrix(Z5, [[(2, 0)], [(1, -1)]])
     assert oracle.brute_count_kernel(col, P5) == 4
 
-    eye = ms.CoeffMatrix(ZI, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]])
+    eye = cq.CoeffMatrix(ZI, [[(1, 0), (0, 0)], [(0, 0), (1, 0)]])
     for a in [rg.Ideal.principal(ZI, (2, 0)),
               rg.Ideal.principal(ZI, (3, 0)),
               rg.Ideal.from_generators(ZI, [(1, 1)])]:
         assert oracle.brute_count_kernel(eye, a) == 1
 
-    c = ms.CoeffMatrix(ZI, [[(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
+    c = cq.CoeffMatrix(ZI, [[(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
     two = rg.Ideal.principal(ZI, (2, 0))
     assert oracle.brute_count_kernel(c, two) == 4
 
@@ -63,7 +62,7 @@ def test_large_entries_are_exact():
     A = cq.Arrangement(Z, [[(2 ** 62 + 1,)], [(1,)]])
     assert oracle.brute_count_complement(A, five) == 0
     assert cq.constituents(A).evaluate(five) == 0
-    C = ms.CoeffMatrix(Z, [[(2 ** 62 + 1,), (2 ** 62 + 2,)]])
+    C = cq.CoeffMatrix(Z, [[(2 ** 62 + 1,), (2 ** 62 + 2,)]])
     assert oracle.brute_count_kernel(C, five) == 1
     # entries far past int64 over a quadratic order; the first two
     # columns have determinant -1 and the period is <3>
@@ -91,6 +90,22 @@ def test_int64_room_is_a_budget():
         oracle.brute_count_complement(A, big)
 
 
+def test_huge_integers_in_budget_messages():
+    # Python refuses to print an int past 4,300 digits, so a message names
+    # an integer past 2^63 by its bit length
+    huge = rg.Ideal.principal(Z, (10 ** 5000,))
+    bits = (10 ** 5000).bit_length()
+    A = cq.Arrangement(Z, [[(1,)]])
+    with pytest.raises(BudgetExceeded, match=f"modulo <{bits}-bit integer>"):
+        oracle.brute_count_complement(A, huge)
+    # m = 2^20 leaves int64 room at ell = 1000, but the grid holds 2^20000
+    # residue vectors
+    wide = cq.Arrangement(Z, [[(1,)] * 1000])
+    with pytest.raises(BudgetExceeded,
+                       match="<20001-bit integer> residue vectors"):
+        oracle.brute_count_complement(wide, rg.Ideal.principal(Z, (2 ** 20,)))
+
+
 def test_inclusion_exclusion_sanity():
     rng = random.Random(41)
     for ring in (Z, ZI, Z5, ZT):
@@ -106,12 +121,3 @@ def test_inclusion_exclusion_sanity():
                     C = A.coeff_matrix(J)
                     acc += (-1) ** size * oracle.brute_count_kernel(C, a)
             assert acc == oracle.brute_count_complement(A, a)
-
-
-def test_count_report():
-    A = cq.Arrangement(Z5, [[(2, 0), (1, -1)], [(1, 1), (3, 0)]])
-    rep = oracle.count_report(A, P5, subsets=[(0,), (1,), (0, 1)])
-    assert rep.norm == 2
-    assert rep.complement_count == 0
-    assert rep.kernel_counts[(0,)] == 4  # N(p+p) * N(p)^(2-1)
-    assert rep.kernel_counts[(0, 1)] == 2  # N(p+<1>) * N(p)^(2-1)

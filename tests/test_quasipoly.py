@@ -1,10 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from dedarr import charquasi as cq
 from dedarr import quasipoly as qp
 from dedarr import ring as rg
 from dedarr.errors import RingMismatch
+
+from conftest import rand_small_arrangement
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -118,6 +122,73 @@ def test_minimum_period_reindex_safe():
     picks = rng.sample(ideals, min(100, len(ideals)))
     for a in picks:
         assert reduced.evaluate(a) == inflated.evaluate(a)
+
+
+def witness_by_pairs(q, p):
+    """The first pair of divisors, in combinations order, with distinct
+    constituents on one fibre of kappa -> kappa + rho/p; or None.
+
+    The O(d^2) pair search: the reference for
+    ``QuasiPolynomial.fibre_witness``.
+    """
+    reduced = q.period / p
+    divs = q.divisors()
+    fibre = [(k + reduced).hnf for k in divs]
+    consts = [q.constituents[k] for k in divs]
+    for i, j in combinations(range(len(divs)), 2):
+        if fibre[i] == fibre[j] and consts[i] != consts[j]:
+            return divs[i], divs[j]
+    return None
+
+
+def minimum_period_by_restarts(q):
+    """Strip any prime whose removal leaves a period, then start over.
+
+    The reference for ``QuasiPolynomial.minimum_period``.
+    """
+    period = q.period
+    changed = True
+    while changed:
+        changed = False
+        for p, _ in period.factor():
+            candidate = period / p
+            if all(q.constituent(k) == q.constituent(k + candidate)
+                   for k in period.divisors()):
+                period = candidate
+                changed = True
+                break
+    return period
+
+
+def test_fibre_witness_matches_pair_search():
+    # on lcm periods and on periods inflated by <k>, k <= 6, which are
+    # not minimal: one fibre test per prime finds the pair search's
+    # witness, and minimum_period the minimum of the restarting search
+    rng = random.Random(33)
+    found = missing = 0
+    for ring in (Z, ZI, Z5, rg.quadratic(5)):
+        for _ in range(8):
+            A = rand_small_arrangement(rng, ring)
+            q = cq.constituents(A)
+            for k in range(1, 7):
+                inflated = q.with_period(
+                    q.period * rg.Ideal.principal(ring, ring.from_int(k)))
+                if len(inflated.divisors()) > 100:
+                    continue  # the pair search is quadratic
+                for p, _ in inflated.period.factor():
+                    kappa = inflated.fibre_witness(p)
+                    expect = witness_by_pairs(inflated, p)
+                    if kappa is None:
+                        assert expect is None
+                        missing += 1
+                    else:
+                        assert expect == (kappa, kappa * p)
+                        found += 1
+                minimal, reduced = inflated.minimum_period()
+                assert minimal == minimum_period_by_restarts(inflated)
+                assert reduced.constituents == {
+                    k: inflated.constituent(k) for k in minimal.divisors()}
+    assert found >= 150 and missing >= 150, (found, missing)
 
 
 def test_gcd_property_by_construction():

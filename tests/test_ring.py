@@ -6,13 +6,14 @@ import pytest
 from dedarr import ring as rg
 from dedarr.errors import (
     AllGeneratorsZero,
+    BudgetExceeded,
     ElementNotInModule,
     InputError,
     InternalCheckError,
     NonIntegralQuotient,
     NormFactorizationTooLarge,
-    NotPrime,
     RingMismatch,
+    format_int,
 )
 
 Z = rg.rational_integers()
@@ -293,17 +294,21 @@ def test_residues_distinct_and_reduced():
 
 
 def test_ord_p_examples():
+    # ord at a prime is PrimeValuator.ord_ideal, for an ideal that
+    # Ideal.is_prime accepts
+    def ord_p(a, p):
+        assert p.is_prime()
+        return rg.PrimeValuator(p).ord_ideal(a)
+
     p_zi = rg.Ideal.principal(ZI, (1, 1))
-    assert rg.ord_p(rg.Ideal.principal(ZI, (2, 0)), p_zi) == 2
-    assert rg.ord_p(rg.Ideal.unit(Z5), P5) == 0
-    assert rg.ord_p(PQ, P5) == 1
-    with pytest.raises(NotPrime):
-        rg.ord_p(PQ, PQ)
-    # <r> is prime exactly when r is inert: 3 is in Z[i], 5 splits
-    assert rg.ord_p(rg.Ideal.principal(ZI, (9, 0)),
-                    rg.Ideal.principal(ZI, (3, 0))) == 2
-    with pytest.raises(NotPrime):
-        rg.ord_p(PQ, rg.Ideal.principal(ZI, (5, 0)))
+    assert ord_p(rg.Ideal.principal(ZI, (2, 0)), p_zi) == 2
+    assert ord_p(rg.Ideal.unit(Z5), P5) == 0
+    assert ord_p(PQ, P5) == 1
+    assert not PQ.is_prime()
+    # <r> is prime exactly when r is inert: 3 is inert in Z[i], 5 splits
+    assert ord_p(rg.Ideal.principal(ZI, (9, 0)),
+                 rg.Ideal.principal(ZI, (3, 0))) == 2
+    assert not rg.Ideal.principal(ZI, (5, 0)).is_prime()
 
 
 def test_omega_roots_against_brute_scan():
@@ -494,7 +499,6 @@ def test_format_factored():
 
 
 def test_residue_budget():
-    from dedarr.errors import BudgetExceeded
     big = rg.Ideal.principal(Z, (10 ** 8,))
     with pytest.raises(BudgetExceeded):
         big.residues(budget=10 ** 6)
@@ -504,6 +508,20 @@ def test_factor_budget():
     huge = rg.Ideal.principal(Z, (2 ** 70 + 1,))
     with pytest.raises(NormFactorizationTooLarge):
         huge.factor()
+
+
+def test_huge_integers_in_budget_messages():
+    # Python refuses to print an int past 4,300 digits, so a message names
+    # an integer past 2^63 by its bit length
+    assert format_int(2 ** 63 - 1) == "9223372036854775807"
+    assert format_int(2 ** 63) == "<64-bit integer>"
+    huge = rg.Ideal.principal(Z, (10 ** 5000,))
+    bits = (10 ** 5000).bit_length()
+    with pytest.raises(NormFactorizationTooLarge,
+                       match=f"<{bits}-bit integer> exceeds"):
+        huge.factor()
+    with pytest.raises(BudgetExceeded, match=f"size <{bits}-bit integer>"):
+        huge.residues()
 
 
 def test_factor_int_matches_trial_division():
