@@ -87,6 +87,12 @@ class Arrangement:
                 rows.append(list(ring.mul(b, self.columns[j][i])))
         return rows
 
+    def restriction_matrix(self):
+        """[colmat_0 | colmat_1 | ...]: the integer rows of x -> x*C."""
+        mats = [self.column_restriction(j) for j in range(self.n)]
+        return [[x for cm in mats for x in cm[i]]
+                for i in range(self.ring.degree * self.ell)]
+
     def __repr__(self):
         label = self.name or f"{self.n} columns"
         return f"Arrangement({label}, ell={self.ell}, {self.ring!r})"
@@ -192,15 +198,8 @@ def parse_element_list(ring, text):
 
 
 def _rank(A):
-    """Rank of the arrangement over the fraction field.
-
-    Read off FlatLattice's matrix [colmat_0 | colmat_1 | ...] of x -> x*C
-    over Z; restricting scalars multiplies every rank by the degree.
-    """
-    deg = A.ring.degree
-    mats = [A.column_restriction(j) for j in range(A.n)]
-    rows = [[x for cm in mats for x in cm[i]] for i in range(deg * A.ell)]
-    return zl.rank(rows) // deg
+    """Rank over the fraction field: that of x -> x*C over Z, / degree."""
+    return zl.rank(A.restriction_matrix()) // A.ring.degree
 
 
 def _kernel_bound(ring, entry, size):
@@ -226,17 +225,6 @@ def _kernel_bound(ring, entry, size):
     return bound
 
 
-def _mul(ring, x, y):
-    """Ring products of arrays whose last axis holds the coordinates."""
-    if ring.degree == 1:
-        return x * y
-    a, b = x[..., 0], x[..., 1]
-    e, f = y[..., 0], y[..., 1]
-    bf = b * f
-    return np.stack((a * e - ring.omega_norm * bf,
-                     a * f + b * e + ring.omega_trace * bf), axis=-1)
-
-
 def _extend(ring, X, prev, parent, cols, s):
     """The s-minors of the column sets P + (j,), by Laplace expansion.
 
@@ -252,47 +240,39 @@ def _extend(ring, X, prev, parent, cols, s):
     for t in range(s):
         drop = np.array([pos[R[:t] + R[t + 1:]] for R in rows])
         pick = np.array([R[t] for R in rows])
-        term = _mul(ring, X[cols[:, None], pick], prev[parent[:, None], drop])
+        x = np.moveaxis(X[cols[:, None], pick], -1, 0)
+        y = np.moveaxis(prev[parent[:, None], drop], -1, 0)
+        term = np.stack(ring.mul(x, y), axis=-1)
         out = out + term if (t + s) % 2 else out - term
     return out
 
 
 def _children(last, n):
-    """(parent, j) of every set P + (j,) with j > max P, in lex order.
+    """(parent, j, offset) of the sets P + (j,) with j > max P, in lex order.
 
     ``last`` holds max P of each set P (-1 for the empty set).  Listing the
     children of each set in turn, j increasing, lists the larger sets in
-    combinations order.
+    combinations order; P + (j,) is child offset[P] + j.
     """
     counts = n - 1 - last
+    offset = np.cumsum(counts) - counts - last - 1
     parent = np.repeat(np.arange(len(last)), counts)
-    start = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
-    return parent, np.arange(len(parent)) - start
-
-
-def _comb_index(c, n):
-    """Position of the increasing tuple c in combinations(range(n), len(c))."""
-    k = len(c)
-    idx = 0
-    prev = -1
-    for i, x in enumerate(c):
-        for v in range(prev + 1, x):
-            idx += comb(n - v - 1, k - i - 1)
-        prev = x
-    return idx
+    return parent, np.arange(len(parent)) - offset[parent], offset
 
 
 def _minor_tables(A, top, exact):
     """The minors of every column subset of size at most ``top``.
 
-    Returns (X, tables, parents, lasts).  X holds the columns, one row per
-    column.  tables[s] holds the s-minors of the s-subsets of the n
+    Returns (X, tables, parents, lasts, offsets).  X holds the columns, one
+    row per column.  tables[s] holds the s-minors of the s-subsets of the n
     columns in combinations order: one row per column set, one column per
     s-subset of the ell rows, the coordinates on the last axis; tables[0]
     is the 0-minor 1 of the empty set.  Row i of tables[s] is the set at
     row parents[s][i] of tables[s - 1] plus the column lasts[s][i], and
     is built by Laplace expansion along that column (lasts[0] is [-1]).
-    The dtype is int64 when _kernel_bound allows minors up to size
+    The one index into the tables: for P at row p of tables[s - 1] and
+    j > max P, the row of P + (j,) in tables[s] is offsets[s][p] + j.  The
+    dtype is int64 when _kernel_bound allows minors up to size
     ``exact``, else object (Python ints).  Past MINOR_TABLE_BUDGET
     entries, BudgetExceeded is raised before any table is formed.
     """
@@ -309,13 +289,26 @@ def _minor_tables(A, top, exact):
     X = np.array([[list(x) for x in col] for col in A.columns], dtype=dtype)
     table = np.zeros((1, 1, deg), dtype=dtype)
     table[0, 0, 0] = 1
-    tables, parents, lasts = [table], [None], [np.array([-1])]
+    tables, parents, lasts, offsets = [table], [None], [np.array([-1])], [None]
     for s in range(1, top + 1):
-        parent, cols = _children(lasts[-1], n)
+        parent, cols, offset = _children(lasts[-1], n)
         tables.append(_extend(ring, X, tables[-1], parent, cols, s))
         parents.append(parent)
         lasts.append(cols)
-    return X, tables, parents, lasts
+        offsets.append(offset)
+    return X, tables, parents, lasts, offsets
+
+
+def _subset_rows(parents, lasts, offsets, s, p, j):
+    """Rows in tables[s] of the s-subsets of P + (j,), P at row p of tables[s].
+
+    Those are P itself and, for each (s-1)-subset F of P, F + (j,).
+    """
+    if s == 0:
+        return [p]
+    faces = _subset_rows(parents, lasts, offsets, s - 1,
+                         int(parents[s][p]), int(lasts[s][p]))
+    return [p] + [int(offsets[s][f]) + j for f in faces]
 
 
 def lcm_period(A):
@@ -343,32 +336,16 @@ def lcm_period(A):
         return unit
     n, ell, deg = A.n, A.ell, ring.degree
     r = _rank(A)
-    X, tables, parents, lasts = _minor_tables(A, r - 1, r)
+    X, tables, parents, lasts, offsets = _minor_tables(A, r - 1, r)
     table, last = tables[-1], lasts[-1]
-
-    def columns_of(p):
-        # the (r-1)-subset at row p of the table
-        out = []
-        for parent, cols in zip(reversed(parents[1:]), reversed(lasts[1:])):
-            out.append(int(cols[p]))
-            p = parent[p]
-        return out[::-1]
-
     acc = unit
     per = max(1, LEAF_CHUNK // (n * comb(ell, r)))
     for lo in range(0, len(last), per):
-        parent, cols = _children(last[lo:lo + per], n)
+        parent, cols, _ = _children(last[lo:lo + per], n)
         top = _extend(ring, X, table, parent + lo, cols, r)
         if r == ell:
-            g = top[:, 0]
-            if deg == 1:
-                norm = g[:, 0]
-            else:
-                g0, g1 = g[:, 0], g[:, 1]
-                norm = (g0 * g0 + ring.omega_trace * (g0 * g1)
-                        + ring.omega_norm * (g1 * g1))
             # g = 0: dependent; a unit g makes d the unit ideal
-            keep = abs(norm) > 1
+            keep = abs(ring.norm(top[:, 0].T)) > 1
         else:
             keep = (top != 0).any(axis=(1, 2))
         for i in np.flatnonzero(keep).tolist():
@@ -383,11 +360,8 @@ def lcm_period(A):
                 e_prev = unit
             else:
                 # E_(r-1): the (r-1)-minors of P and of each P - {k} + {j}
-                p = int(parent[i]) + lo
-                P = columns_of(p)
-                j = int(cols[i])
-                subs = [p] + [_comb_index(sub + (j,), n)
-                              for sub in combinations(P, r - 2)]
+                subs = _subset_rows(parents, lasts, offsets, r - 1,
+                                    int(parent[i]) + lo, int(cols[i]))
                 smaller = [tuple(v)
                            for v in table[subs].reshape(-1, deg).tolist()]
                 e_prev = Ideal.from_generators(ring, smaller)
@@ -408,7 +382,7 @@ def _constituents_subset_sum(A, rho):
     deg = ring.degree
     # no subset has rank above r, so no table past size r is read
     r = _rank(A)
-    _, tables, _, _ = _minor_tables(A, r, r)
+    _, tables, _, _, offsets = _minor_tables(A, r, r)
     primes = [p for p, _ in rho.factor()]
     vals = [PrimeValuator(p) for p in primes]
     np_ = len(primes)
@@ -421,19 +395,14 @@ def _constituents_subset_sum(A, rho):
 
     record(0, 0, ())
 
-    def walk(cols, rank, evals, start):
-        size = len(cols)
-        # the s-minors that column j adds are the table rows of the sets
-        # sub + (j,), sub in combinations(cols, s - 1); in lex order those
-        # rows follow one another as j runs up from start
-        rows = [None] + [
-            np.array([_comb_index(sub + (start,), n)
-                      for sub in combinations(cols, s - 1)]) - start
-            for s in range(1, min(size + 1, r) + 1)]
+    def walk(size, rows, rank, evals, start):
+        # rows[s] holds the table rows of the node's s-subsets, s <= r;
+        # column j adds the sets sub + (j,), at offsets[s][rows[s - 1]] + j
+        grow = [None] + [offsets[s][rows[s - 1]] for s in range(1, r + 1)]
         for j in range(start, n):
             # child rank
             child_rank = rank
-            if rank < r and (tables[rank + 1][rows[rank + 1] + j] != 0).any():
+            if rank < r and (tables[rank + 1][grow[rank + 1] + j] != 0).any():
                 child_rank = rank + 1
             # child valuations of E_1..E_child_rank (per size, per prime)
             child_evals = []
@@ -443,7 +412,7 @@ def _constituents_subset_sum(A, rho):
                 else:
                     base = [INF] * np_
                 if any(base):
-                    minors = tables[s][rows[s] + j].reshape(-1, deg)
+                    minors = tables[s][grow[s] + j].reshape(-1, deg)
                     minors = minors[(minors != 0).any(axis=1)].tolist()
                     for pi in range(np_):
                         if base[pi] == 0:
@@ -467,9 +436,12 @@ def _constituents_subset_sum(A, rho):
             else:
                 record(size + 1, child_rank, child_evals)
                 if rem:
-                    walk(cols + (j,), child_rank, child_evals, j + 1)
+                    kids = [np.concatenate((rows[s], grow[s] + j))
+                            for s in range(1, r + 1)]
+                    walk(size + 1, rows[:1] + kids, child_rank, child_evals,
+                         j + 1)
 
-    walk((), 0, (), 0)
+    walk(0, [np.array([0])] + [np.array([], int)] * r, 0, (), 0)
 
     divisors = rho.divisors()
     kappa_vals = {k: tuple(v.ord_ideal(k) for v in vals) for k in divisors}
@@ -507,11 +479,15 @@ def constituents(A, path="auto"):
         q = _constituents_subset_sum(A, rho)
     else:
         from .layers import layer_poset
-        poset = layer_poset(A, period=rho)
-        q = poset.quasi_polynomial()
+        q = layer_poset(A, period=rho).quasi_polynomial()
+    return _monic(q, A.ell)
+
+
+def _monic(q, ell):
+    """q, once every constituent is checked monic of degree ell."""
     for kappa in q.divisors():
         coeffs = q.constituents[kappa]
-        if len(coeffs) != A.ell + 1 or coeffs[-1] != 1:
+        if len(coeffs) != ell + 1 or coeffs[-1] != 1:
             raise CertificateFailure("constituent is not monic of degree ell")
     return q
 
@@ -536,13 +512,17 @@ class MinimalityCertificate:
 
 
 def minimality_certificate(A, qp=None, poset=None):
-    """Certify that the computed period is the minimum period."""
-    if qp is None:
-        qp = constituents(A)
-    rho = qp.period
+    """Certify that the computed period is the minimum period.
+
+    Without ``poset`` the layer poset is built once, at the period of
+    ``qp`` when it is given; without ``qp`` it is read off the poset.
+    """
     if poset is None:
         from .layers import layer_poset
-        poset = layer_poset(A, period=rho)
+        poset = layer_poset(A, period=None if qp is None else qp.period)
+    if qp is None:
+        qp = _monic(poset.quasi_polynomial(), A.ell)
+    rho = qp.period
     unit = Ideal.unit(A.ring)
     per_dim = {r: unit for r in range(A.ell)}
     for layer in poset.layers:

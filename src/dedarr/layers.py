@@ -70,9 +70,7 @@ class FlatLattice:
         self.arrangement = A
         self.D = D
         self.colmats = [A.column_restriction(j) for j in range(A.n)]
-        # C = [colmat_0 | colmat_1 | ...]: x*C lists x times every column
-        self.C = [[x for cm in self.colmats for x in cm[i]]
-                  for i in range(D)]
+        self.C = A.restriction_matrix()
         self.flats = []
         self._by_key = {}
         self.child = {}  # (flat id, hyperplane j) -> flat id of intersection

@@ -1,6 +1,7 @@
 import random
 import time
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ def test_rank_matches_reference():
                         continue
                 A = cq.Arrangement(ring, cols)
                 top = min(A.ell, A.n)
-                _, tables, _, _ = cq._minor_tables(A, top, top)
+                _, tables, _, _, _ = cq._minor_tables(A, top, top)
                 largest = max(s for s in range(top + 1)
                               if (tables[s] != 0).any())
                 r = cq._rank(A)
@@ -310,6 +311,77 @@ def test_rank_matches_reference():
                 kinds[kind] += 1
                 short += r < top
     assert min(kinds.values()) >= 20 and short >= 30, (kinds, short)
+
+
+def test_table_index_reaches_every_subset(monkeypatch):
+    # the row of P + (j,) in tables[s] is offsets[s][row of P] + j: every
+    # s-subset, reached from the empty set through offsets, sits at a row
+    # holding its minors, and the E_(r-1) rows lcm_period reads for a basis
+    # are exactly that basis's (r-1)-subsets
+    calls = []
+    subset_rows = cq._subset_rows
+
+    def recorded(parents, lasts, offsets, s, p, j):
+        out = subset_rows(parents, lasts, offsets, s, p, j)
+        calls.append((s, p, j, out))
+        return out
+
+    monkeypatch.setattr(cq, "_subset_rows", recorded)
+    rng = random.Random(59)
+    checked = deficient = bases = 0
+    for ring in (Z, ZI, Z5, ZT):
+        for _ in range(12):
+            ell, n = rng.randint(1, 4), rng.randint(1, 7)
+            cols = rand_columns(rng, ring, ell, n, bound=2)
+            if ell > 1 and rng.random() < 0.5:
+                # every column an integer combination of the first k < ell
+                k = rng.randint(1, ell - 1)
+                base = cols = cols[:k]
+                while len(cols) < n:
+                    f = [rng.randint(-2, 2) for _ in base]
+                    col = tuple(tuple(sum(c * b[i][t] for c, b in zip(f, base))
+                                      for t in range(ring.degree))
+                                for i in range(ell))
+                    if any(any(x) for x in col):
+                        cols = cols + [col]
+            A = cq.Arrangement(ring, cols)
+            top = min(A.ell, A.n)
+            _, tables, parents, lasts, offsets = cq._minor_tables(A, top, top)
+            ref = _minor_table(A.coeff_matrix(range(A.n)), top)
+            row = {(): 0}
+            for s in range(1, top + 1):
+                for S in combinations(range(A.n), s):
+                    p = row[S[:-1]]
+                    i = int(offsets[s][p]) + S[-1]
+                    assert parents[s][i] == p and lasts[s][i] == S[-1]
+                    minors = [tuple(v) for v in tables[s][i].tolist()]
+                    assert minors == [ref[(R, S)] for R in
+                                      combinations(range(A.ell), s)], (cols, S)
+                    row[S] = i
+                    checked += 1
+                assert len(tables[s]) == comb(A.n, s)
+            for S in combinations(range(A.n), top):
+                for s in range(top):
+                    got = subset_rows(parents, lasts, offsets, s,
+                                      row[S[:s]], S[s])
+                    assert sorted(got) == sorted(
+                        row[F] for F in combinations(S[:s + 1], s))
+            r = cq._rank(A)
+            deficient += r < top
+            del calls[:]
+            cq.lcm_period(A)
+            lookup = {i: S for S, i in row.items() if len(S) == r - 1}
+            # the recursion's own calls are for smaller s
+            for s, p, j, got in calls:
+                if s < r - 1:
+                    continue
+                basis = lookup[p] + (j,)
+                assert s == r - 1 and j > max(lookup[p], default=-1)
+                assert sorted(got) == sorted(
+                    row[F] for F in combinations(basis, r - 1)), cols
+                bases += 1
+    assert checked >= 600 and deficient >= 8 and bases >= 100, \
+        (checked, deficient, bases)
 
 
 def constituents_by_definition(A):
@@ -510,6 +582,27 @@ def test_minimality_certificate(nonprincipal_arrangement):
     empty = cq.Arrangement.empty(Z5, 2)
     cert = cq.minimality_certificate(empty)
     assert cert.period.is_unit_ideal() and not cert.witnesses
+
+
+def test_minimality_builds_the_poset_once(monkeypatch, gaussian_arrangement):
+    # H3 (n = 15) takes the layer path; the Gaussian four lines the subset
+    # path, whose values the poset gives as well
+    from dedarr import layers as ly
+    build = ly.layer_poset
+    builds = []
+
+    def counted(A, period=None):
+        builds.append(A)
+        return build(A, period=period)
+
+    monkeypatch.setattr(ly, "layer_poset", counted)
+    for A in (rootsys.builtin("H3").arrangement, gaussian_arrangement):
+        q = cq.constituents(A)
+        expected = cq.minimality_certificate(
+            A, qp=q, poset=build(A, period=q.period))
+        del builds[:]
+        assert cq.minimality_certificate(A) == expected
+        assert builds == [A]
 
 
 def test_localize_h3():
