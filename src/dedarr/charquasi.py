@@ -525,11 +525,11 @@ def minimality_certificate(A, qp=None, poset=None):
     rho = qp.period
     unit = Ideal.unit(A.ring)
     per_dim = {r: unit for r in range(A.ell)}
-    for layer in poset.layers:
-        if layer.dim < A.ell:
-            cur = per_dim[layer.dim]
-            if not layer.tau.contains_ideal(cur):
-                per_dim[layer.dim] = cur.intersect(layer.tau)
+    for dim, tau in poset.mobius_sums:
+        if dim < A.ell:
+            cur = per_dim[dim]
+            if not tau.contains_ideal(cur):
+                per_dim[dim] = cur.intersect(tau)
     total = unit
     for r, ideal in per_dim.items():
         total = total.intersect(ideal)

@@ -374,6 +374,12 @@ class LayerPoset:
     hyperplanes whose subgroups contain L, so mu(L) is the Moebius value
     at the top of the intersection lattice of J(L).  When J(L) is the
     whole J of its flat, that is the flat's own value.
+
+    The zero layer (y = 0) of a flat is the flat's own image: its
+    annihilator is the unit ideal and J(L) = J(flat), given by rule with no
+    linear algebra, and it projects to the zero layer of every coarser
+    flat.  ``fill_mobius`` also sums mu per (dim, tau) into
+    ``mobius_sums``; each constituent is read off that table.
     """
 
     def __init__(self, arrangement, period, lattice, m, layers, index):
@@ -383,7 +389,9 @@ class LayerPoset:
         self.m = m
         self.layers = layers
         self.index = index  # (flat id, y tuple) -> layer index
+        self.mobius_sums = None  # (dim, tau) -> sum of mu, by fill_mobius
         self._lam = {}
+        self._unit = Ideal.unit(arrangement.ring)
         # coset_counts' image is below D*m^2 with both factors reduced
         self._C = np.array([[x % m for x in row] for row in lattice.C],
                            dtype=zl.exact_dtype(lattice.D * m * m))
@@ -432,8 +440,10 @@ class LayerPoset:
 
     def project(self, layer, flat_id):
         """The layer of the coarser flat containing this one, if any."""
-        key = (flat_id, self.canon(flat_id, layer.y))
-        idx = self.index.get(key)
+        y = layer.y
+        if any(y):
+            y = self.canon(flat_id, y)
+        idx = self.index.get((flat_id, y))
         return None if idx is None else self.layers[idx]
 
     def finders(self, z):
@@ -481,20 +491,23 @@ class LayerPoset:
         key = (flat_id, y)
         if key in self.index:
             return None
-        tau = self.tau(flat_id, y)
-        if not tau.contains_ideal(self.period):
-            return None  # not period-torsion: outside this poset
         lattice, m = self.lattice, self.m
-        deg = self.arrangement.ring.degree
         flat = lattice.flats[flat_id]
-        yc = zl.vec_mat(y, lattice.C)
-        jset = {j for j in flat.J
-                if all(x % m == 0 for x in yc[deg * j: deg * (j + 1)])}
-        bits = 0
-        for j in jset:
-            bits |= 1 << j
-        z = Layer(len(self.layers), flat_id, y, frozenset(jset), bits,
-                  tau, flat.dim)
+        if not any(y):
+            tau, J, bits = self._unit, flat.J, flat.Jbits
+        else:
+            tau = self.tau(flat_id, y)
+            if not tau.contains_ideal(self.period):
+                return None  # not period-torsion: outside this poset
+            deg = self.arrangement.ring.degree
+            yc = zl.vec_mat(y, lattice.C)
+            J = frozenset(
+                j for j in flat.J
+                if all(x % m == 0 for x in yc[deg * j: deg * (j + 1)]))
+            bits = 0
+            for j in J:
+                bits |= 1 << j
+        z = Layer(len(self.layers), flat_id, y, J, bits, tau, flat.dim)
         self.layers.append(z)
         self.index[key] = z.index
         if len(self.layers) > LAYER_BUDGET:
@@ -505,14 +518,22 @@ class LayerPoset:
     # -- Moebius values --
 
     def fill_mobius(self):
-        """Set each layer's mu by the localization in the class docstring."""
+        """Set each layer's mu by the localization in the class docstring.
+
+        Then sum mu per (dim, tau) into ``mobius_sums``.  Keys whose sum is
+        0 stay: the minimality certificate takes the lcm over every tau.
+        """
         lattice = self.lattice
+        sums = {}
         for z in self.layers:
             flat = self.flat(z)
             if z.Jbits == flat.Jbits:
                 z.mu = lattice.mobius[flat.id]
             else:
                 z.mu = lattice.sub_top_mobius(z.Jbits)
+            key = (z.dim, z.tau)
+            sums[key] = sums.get(key, 0) + z.mu
+        self.mobius_sums = sums
         return self
 
     # -- torsion subposets and constituents --
@@ -524,10 +545,12 @@ class LayerPoset:
                 if z.tau.contains_ideal(kappa)]
 
     def kappa_characteristic_polynomial(self, kappa):
+        """Sum of mu(L) t^dim L over the layers annihilated by kappa."""
+        kappa = kappa + self.period
         coeffs = [0] * (self.arrangement.ell + 1)
-        for i in self.kappa_subposet(kappa):
-            z = self.layers[i]
-            coeffs[z.dim] += z.mu
+        for (dim, tau), mu in self.mobius_sums.items():
+            if tau.contains_ideal(kappa):
+                coeffs[dim] += mu
         return tuple(coeffs)
 
     def quasi_polynomial(self):
@@ -615,8 +638,12 @@ def layer_poset(A, period=None):
     one (X, j), every P cap H_j has the same number of components, read
     off the image of X under column j; a parent layer with that many
     layers recorded for j can find nothing new and is not solved, one with
-    more fails the certificate, and the refinement is built only when
-    some parent layer is left.
+    more fails the certificate.  A zero parent of a one-component cut is
+    not solved either: its only component is the child's zero layer, taken
+    in place so the discovery order stays.  The refinement is built only
+    when a nonzero parent or a many-component cut is left.  Zero layers
+    get tau = <1> and J = J(flat) by rule, and the constituents are read
+    off one table of mu summed per (dim, tau), built by ``fill_mobius``.
     """
     from .charquasi import lcm_period
     if period is None:
@@ -657,7 +684,6 @@ def layer_poset(A, period=None):
             ys = by_flat.get(flat.id)
             if not ys:
                 continue
-            lam_basis, _ = poset.lam(flat.id)
             counts_j = poset.coset_counts(flat.id)
             parents = [poset.index[(flat.id, y)] for y in ys]
             for j in range(A.n):
@@ -685,13 +711,19 @@ def layer_poset(A, period=None):
                         f"{format_int(cosets)} layers, over the budget of "
                         f"{LAYER_BUDGET}")
                 child = lattice.child[(flat.id, j)]
-                lam_child, pivots_child = poset.lam(child)
-                colmat = lattice.colmats[j]
-                refine = _Refinement(lam_basis, lam_child, pivots_child,
-                                     colmat, zl.mat_mul(lam_basis, colmat),
-                                     m, cosets)
+                refine = None
                 for y, recorded in todo:
-                    outs = refine.solve(list(y))
+                    if cosets == 1 and not any(y):
+                        outs = [y]  # the zero layer of the child
+                    else:
+                        if refine is None:
+                            lam_basis, _ = poset.lam(flat.id)
+                            lam_child, pivots_child = poset.lam(child)
+                            colmat = lattice.colmats[j]
+                            refine = _Refinement(
+                                lam_basis, lam_child, pivots_child, colmat,
+                                zl.mat_mul(lam_basis, colmat), m, cosets)
+                        outs = refine.solve(list(y))
                     for bits, z in recorded:
                         if bits >> j & 1 and (z.flat_id != child
                                               or z.y not in outs):

@@ -142,6 +142,30 @@ def exhaustive_layer_poset(A, period=None, finds=None):
     return P
 
 
+def annihilator_and_J(P, z):
+    """(tau, J) of a layer by linear algebra alone, zero layers included.
+
+    tau is read off the kernel of [y; omega*y; the flat's lattice + m Z^D]
+    and J is the set of hyperplanes j of the flat with y*C_j = 0 mod m;
+    ``LayerPoset`` gives the zero layers theirs by rule, and this is the
+    reference that rule is checked against.
+    """
+    ring = P.arrangement.ring
+    deg = ring.degree
+    y = list(z.y)
+    rows = [y]
+    if deg == 2:
+        rows.append([c for i in range(0, len(y), 2)
+                     for c in ring.omega_mul((y[i], y[i + 1]))])
+    basis, _ = P.lam(z.flat_id)
+    ker = zl.left_kernel(rows + [list(r) for r in basis])
+    tau = Ideal(ring, zl.hnf([k[:deg] for k in ker])[0])
+    yc = zl.vec_mat(y, P.lattice.C)
+    J = frozenset(j for j in P.flat(z).J
+                  if all(x % P.m == 0 for x in yc[deg * j: deg * (j + 1)]))
+    return tau, J
+
+
 def layer_digest(P):
     """(index, flat, y, J, tau, mu) of every layer, in order."""
     return [(z.index, z.flat_id, z.y, z.J, z.tau.hnf, z.mu)

@@ -1,0 +1,79 @@
+"""Differential fuzzing: the layer path, the subset path and the oracle.
+
+The three routes share no code past the ring arithmetic, so on any
+arrangement small enough for all three they must agree.  The strategy
+draws arrangements with ell <= 3 and n <= 6 over Z, Z[i], Z[sqrt(-5)] and
+Z[tau], with the shapes that stress the rank and torsion bookkeeping:
+proportional columns, a column that is the sum of two others, and a zero
+first row (rank-deficient inputs).
+"""
+
+import collections
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dedarr import charquasi as cq
+from dedarr import oracle
+from dedarr import ring as rg
+
+RINGS = [rg.rational_integers(), rg.quadratic(-1), rg.quadratic(-5),
+         rg.quadratic(5)]
+MAX_M = 60                 # least integer of the period
+MAX_ORACLE_POINTS = 10 ** 6  # N(rho)^ell at the period
+
+
+def elements(ring):
+    return st.tuples(*[st.integers(-3, 3)] * ring.degree)
+
+
+@st.composite
+def arrangements(draw):
+    ring = draw(st.sampled_from(RINGS))
+    ell = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.lists(elements(ring), min_size=ell,
+                                  max_size=ell), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        c = draw(elements(ring).filter(any))
+        i = draw(st.integers(0, len(cols) - 1))
+        cols.append([ring.mul(c, x) for x in cols[i]])
+    if len(cols) >= 2 and draw(st.booleans()):
+        i, k = draw(st.lists(st.integers(0, len(cols) - 1), min_size=2,
+                             max_size=2, unique=True))
+        cols.append([ring.add(x, y) for x, y in zip(cols[i], cols[k])])
+    if ell >= 2 and draw(st.booleans()):
+        cols = [[ring.zero] + col[1:] for col in cols]
+    cols = cols[:6]
+    assume(all(any(any(x) for x in col) for col in cols))
+    return cq.Arrangement(ring, cols)
+
+
+EXAMPLES = 300
+MIN_PER_RING = 40  # kept examples per ring; 50-89 with this strategy
+
+
+def test_layer_path_subset_path_and_oracle_agree():
+    """The three routes agree on every kept example, and enough are kept.
+
+    The filters below discard inputs, and hypothesis stops early without
+    failing when too few pass them, so the test counts the kept examples
+    per ring and fails if a ring falls below MIN_PER_RING.
+    """
+    kept = collections.Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=EXAMPLES,
+              database=None)
+    @given(arrangements())
+    def agree(A):
+        rho = cq.lcm_period(A)
+        assume(rho.least_integer() <= MAX_M)
+        assume(rho.norm ** A.ell <= MAX_ORACLE_POINTS)
+        q = cq.constituents(A, path="layers")
+        assert q == cq.constituents(A, path="subset")
+        for a in (rg.Ideal.unit(A.ring), rho):
+            assert cq.evaluate(A, a, q) == oracle.brute_count_complement(A, a)
+        kept[A.ring] += 1
+
+    agree()
+    assert all(kept[ring] >= MIN_PER_RING for ring in RINGS), kept

@@ -8,11 +8,11 @@ from dedarr import layers as ly
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import (determinant_coset_count, exhaustive_layer_poset,
-                      flats_above, hasse_covers_by_triples,
-                      invariant_factors, layer_digest, m_value,
-                      mobius_by_recursion, rand_small_arrangement,
-                      rank_over_K)
+from conftest import (annihilator_and_J, determinant_coset_count,
+                      exhaustive_layer_poset, flats_above,
+                      hasse_covers_by_triples, invariant_factors,
+                      layer_digest, m_value, mobius_by_recursion,
+                      rand_small_arrangement, rank_over_K)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -169,6 +169,77 @@ def test_layer_poset_matches_exhaustive_loop():
         stripped, _ = cq.strip_primes(cq.lcm_period(A), gens)
         assert (layer_digest(ly.layer_poset(A, period=stripped))
                 == layer_digest(exhaustive_layer_poset(A, stripped)))
+
+
+def rule_cases(gaussian_arrangement, nonprincipal_arrangement):
+    """The fixtures, H3, H4[:24] and 24 random small-period arrangements."""
+    h4 = rootsys.builtin("H4").arrangement
+    cases = [gaussian_arrangement, nonprincipal_arrangement,
+             rootsys.builtin("H3").arrangement,
+             cq.Arrangement(h4.ring, h4.columns[:24])]
+    return cases + small_period_arrangements(random.Random(73), 6)
+
+
+def test_layer_tau_and_J_match_linear_algebra(gaussian_arrangement,
+                                              nonprincipal_arrangement):
+    # the zero layers get tau = <1> and J = J(flat) by rule; every layer's
+    # tau and J must be what the kernel and y*C mod m give
+    zero = 0
+    for A in rule_cases(gaussian_arrangement, nonprincipal_arrangement):
+        P = ly.layer_poset(A)
+        for z in P.layers:
+            assert (z.tau, z.J) == annihilator_and_J(P, z), (A.columns, z)
+            assert z.Jbits == sum(1 << j for j in z.J)
+            zero += not any(z.y)
+    assert zero >= 450
+
+
+def test_refinements_built_only_where_needed(gaussian_arrangement,
+                                             nonprincipal_arrangement,
+                                             monkeypatch):
+    # the zero parent of a single-coset cut is the child's zero layer, so
+    # a refinement is built only for a multi-coset cut or a nonzero parent,
+    # and every one built is solved
+    built = []
+
+    class Recorded(ly._Refinement):
+        __slots__ = ("cosets", "solved")
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.cosets = args[-1]
+            self.solved = []
+            built.append(self)
+
+        def solve(self, y):
+            self.solved.append(tuple(y))
+            return super().solve(y)
+
+    monkeypatch.setattr(ly, "_Refinement", Recorded)
+    for A in rule_cases(gaussian_arrangement, nonprincipal_arrangement):
+        built.clear()
+        ly.layer_poset(A)
+        for r in built:
+            assert r.solved, A.columns
+            assert r.cosets > 1 or any(any(y) for y in r.solved), A.columns
+    # H3 has 52 cuts with a parent left to solve; 47 are single-coset
+    # cuts whose only such parents are zero layers
+    built.clear()
+    ly.layer_poset(rootsys.builtin("H3").arrangement)
+    assert len(built) == 5
+
+
+def test_constituents_from_the_table_match_layer_sums(
+        gaussian_arrangement, nonprincipal_arrangement):
+    # the (dim, tau) table against the sum over the kappa-subposet itself
+    for A in rule_cases(gaussian_arrangement, nonprincipal_arrangement):
+        P = ly.layer_poset(A)
+        assert sum(P.mobius_sums.values()) == sum(z.mu for z in P.layers)
+        for kappa in P.period.divisors():
+            coeffs = [0] * (A.ell + 1)
+            for i in P.kappa_subposet(kappa):
+                coeffs[P.layers[i].dim] += P.layers[i].mu
+            assert P.kappa_characteristic_polynomial(kappa) == tuple(coeffs)
 
 
 def check_coset_counts(A, kappa, lattice):
