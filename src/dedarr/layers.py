@@ -36,12 +36,14 @@ HASSE_BUDGET = 10 ** 6  # cover tests: the square of the chosen-layer count
 class Flat:
     """An intersection subspace of the hyperplane arrangement."""
 
-    __slots__ = ("id", "lat", "pivots", "J", "Jbits", "dim", "codim")
+    __slots__ = ("id", "lat", "pivots", "image", "J", "Jbits", "dim",
+                 "codim")
 
-    def __init__(self, fid, lat, pivots, J, Jbits, dim, codim):
+    def __init__(self, fid, lat, pivots, image, J, Jbits, dim, codim):
         self.id = fid
         self.lat = lat          # saturated lattice H_X int Z^D, HNF rows
         self.pivots = pivots
+        self.image = image      # lat * C, exact numpy array
         self.J = J              # frozenset of hyperplane indices containing X
         self.Jbits = Jbits
         self.dim = dim          # dimension over the fraction field
@@ -61,6 +63,13 @@ class FlatLattice:
     dim X' - 1, since every flat is the intersection of its own
     hyperplanes.  Those pairs are registered at once, so a kernel is
     computed only for the pair that finds a flat.
+
+    Each flat keeps one exact numpy image B*C of its basis B under every
+    column block, int64 while D*max|B|*max|C| fits and Python ints past
+    it.  The zero blocks of the image give J, block j is the matrix whose
+    kernel cuts the flat by hyperplane j, and ``LayerPoset.coset_counts``
+    reduces the image mod m.  Every flat carries a zero layer, so the flat
+    count is held to LAYER_BUDGET, which the layer path could never pass.
     """
 
     def __init__(self, arrangement):
@@ -71,6 +80,8 @@ class FlatLattice:
         self.D = D
         self.colmats = [A.column_restriction(j) for j in range(A.n)]
         self.C = A.restriction_matrix()
+        self._cmax = max((abs(x) for row in self.C for x in row), default=0)
+        self._arrays = {}  # numpy dtype -> C as an array of that dtype
         self.flats = []
         self._by_key = {}
         self.child = {}  # (flat id, hyperplane j) -> flat id of intersection
@@ -78,6 +89,11 @@ class FlatLattice:
         self._add_flat(zl.identity(D), list(range(D)))
         level = [0]
         while level:
+            # the level's flats by the lowest bit of their J, 0 for J empty
+            by_low = {}
+            for fid in level:
+                bits = self.flats[fid].Jbits
+                by_low.setdefault(bits & -bits, []).append(fid)
             new_ids = []
             for fid in sorted(level, key=lambda i: self.flats[i].lat):
                 flat = self.flats[fid]
@@ -90,7 +106,8 @@ class FlatLattice:
                     # cut the flat by hyperplane j inside the flat's own
                     # coordinates: the saturation carries over because the
                     # flat's basis is itself saturated
-                    small = zl.left_kernel(zl.mat_mul(base, self.colmats[j]))
+                    block = flat.image[:, deg * j: deg * (j + 1)].tolist()
+                    small = zl.left_kernel(block)
                     inter = zl.mat_mul(small, base) if small else []
                     basis, pivots = zl.hnf(inter)
                     if tuple(tuple(r) for r in basis) in self._by_key:
@@ -99,7 +116,7 @@ class FlatLattice:
                             "flat that no earlier cut registered")
                     got = self._add_flat(basis, pivots)
                     new_ids.append(got)
-                    self._register(level, self.flats[got])
+                    self._register(by_low, self.flats[got])
             level = new_ids
         mob = self._mobius_on((1 << A.n) - 1)
         self.mobius = [mob[i] for i in range(len(self.flats))]
@@ -107,38 +124,61 @@ class FlatLattice:
         self._span = {}
         self._covered = None
 
-    def _register(self, level, flat):
-        """Record flat as X cap H_i for every X of the level inside it."""
+    def _register(self, by_low, flat):
+        """Record flat as X cap H_i for every X of the level inside it.
+
+        ``by_low`` lists the level's flats by the lowest bit of their J, so
+        only those whose lowest bit is in J(flat) are tested, and those
+        with J empty (the ambient flat), which lies inside every flat.
+        """
         child = self.child
         bits = flat.Jbits
-        for xid in level:
-            x_bits = self.flats[xid].Jbits
-            if x_bits & bits == x_bits:
-                rest = bits ^ x_bits
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    child[(xid, low.bit_length() - 1)] = flat.id
+        lows = [0]
+        rest = bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            lows.append(low)
+        for low in lows:
+            for xid in by_low.get(low, ()):
+                x_bits = self.flats[xid].Jbits
+                if x_bits & bits == x_bits:
+                    more = bits ^ x_bits
+                    while more:
+                        i = more & -more
+                        more ^= i
+                        child[(xid, i.bit_length() - 1)] = flat.id
 
     def _add_flat(self, basis, pivots):
         A = self.arrangement
         deg = A.ring.degree
         key = tuple(tuple(r) for r in basis)
-        # j is in J when the block of basis*C for column j vanishes
-        if basis:
-            nonzero = [any(c) for c in zip(*zl.mat_mul(basis, self.C))]
-        else:
-            nonzero = [False] * (deg * A.n)
-        J = frozenset(j for j in range(A.n)
-                      if not any(nonzero[deg * j: deg * (j + 1)]))
+        # basis*C is below D*max|basis|*max|C|; an empty basis still needs
+        # a dtype that holds C
+        bmax = max(max(map(max, basis)), -min(map(min, basis))) \
+            if basis else 1
+        dtype = zl.exact_dtype(self.D * bmax * self._cmax)
+        C = self._arrays.get(dtype)
+        if C is None:
+            C = self._arrays[dtype] = np.array(
+                self.C, dtype=dtype).reshape(self.D, deg * A.n)
+        image = np.array(basis, dtype=dtype).reshape(len(basis), self.D) @ C
+        # j is in J when the image's block for column j vanishes
+        nonzero = (image != 0).reshape(len(basis), A.n, deg).any(axis=(0, 2))
+        J = frozenset(np.flatnonzero(~nonzero).tolist())
         bits = 0
         for j in J:
             bits |= 1 << j
         dim = len(basis) // deg
         fid = len(self.flats)
-        flat = Flat(fid, key, list(pivots), J, bits, dim, A.ell - dim)
+        flat = Flat(fid, key, list(pivots), image, J, bits, dim, A.ell - dim)
         self.flats.append(flat)
         self._by_key[key] = fid
+        if len(self.flats) > LAYER_BUDGET:
+            raise BudgetExceeded(
+                f"the intersection lattice reached {len(self.flats)} flats "
+                f"at codim {flat.codim}, over the layer budget of "
+                f"{LAYER_BUDGET} (every flat carries a zero layer)")
         return fid
 
     def span(self, col_bits):
@@ -392,7 +432,8 @@ class LayerPoset:
         self.mobius_sums = None  # (dim, tau) -> sum of mu, by fill_mobius
         self._lam = {}
         self._unit = Ideal.unit(arrangement.ring)
-        # coset_counts' image is below D*m^2 with both factors reduced
+        # a layer's y*(C mod m), y reduced mod m, is below D*m^2, and so
+        # are coset_counts' minors of the image mod m
         self._C = np.array([[x % m for x in row] for row in lattice.C],
                            dtype=zl.exact_dtype(lattice.D * m * m))
 
@@ -405,9 +446,12 @@ class LayerPoset:
         if flat_id not in self._lam:
             flat = self.lattice.flats[flat_id]
             D = self.lattice.D
+            # m*e_p for a unit pivot p is m times the flat's row there,
+            # less the m*e_c with c > p
+            unit = {p for row, p in zip(flat.lat, flat.pivots) if row[p] == 1}
             rows = [list(r) for r in flat.lat] + \
                 [[self.m if c == r else 0 for c in range(D)]
-                 for r in range(D)]
+                 for r in range(D) if r not in unit]
             self._lam[flat_id] = zl.hnf(rows)
         return self._lam[flat_id]
 
@@ -418,11 +462,14 @@ class LayerPoset:
         element of Z^deg / (I_j + m Z^deg), I_j the image of the flat's
         lattice under column j: prod gcd(e, m) over the gcd diagonal e of
         I_j, which the image mod m gives.  Every column is read off the
-        one image (lat mod m)(C mod m) mod m.
+        flat's one image ``Flat.image`` mod m.
         """
         m = self.m
-        lat = [[x % m for x in row] for row in self.lattice.flats[flat_id].lat]
-        image = np.array(lat, dtype=self._C.dtype) @ self._C % m
+        image = self.lattice.flats[flat_id].image
+        if image.dtype == self._C.dtype:
+            image = image % m
+        else:  # one side is past int64: reduce with Python ints
+            image = (image.astype(object) % m).astype(self._C.dtype)
         if self.arrangement.ring.degree == 1:
             return np.gcd(np.gcd.reduce(image, axis=0), m).tolist()
         # per column block (a, b): d1 = gcd of the entries, d1*d2 = gcd of
@@ -479,9 +526,10 @@ class LayerPoset:
         if deg == 2:
             rows.append([c for i in range(0, len(y), 2)
                          for c in ring.omega_mul((y[i], y[i + 1]))])
+        # the lattice rows first: they are already echelon
         basis, _ = self.lam(flat_id)
-        ker = zl.left_kernel(rows + [list(r) for r in basis])
-        hb, _ = zl.hnf([k[:deg] for k in ker])
+        ker = zl.left_kernel(basis + rows)
+        hb, _ = zl.hnf([k[-deg:] for k in ker])
         if len(hb) < deg:
             raise CertificateFailure("annihilator lattice is rank deficient")
         return Ideal(ring, hb)
@@ -499,11 +547,11 @@ class LayerPoset:
             tau = self.tau(flat_id, y)
             if not tau.contains_ideal(self.period):
                 return None  # not period-torsion: outside this poset
-            deg = self.arrangement.ring.degree
-            yc = zl.vec_mat(y, lattice.C)
-            J = frozenset(
-                j for j in flat.J
-                if all(x % m == 0 for x in yc[deg * j: deg * (j + 1)]))
+            # the hyperplanes j of the flat with y*C_j = 0 mod m
+            A = self.arrangement
+            yc = np.array(y, dtype=self._C.dtype) @ self._C % m
+            on = (yc == 0).reshape(A.n, A.ring.degree).all(axis=1)
+            J = flat.J.intersection(np.flatnonzero(on).tolist())
             bits = 0
             for j in J:
                 bits |= 1 << j

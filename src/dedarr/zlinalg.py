@@ -37,18 +37,14 @@ def xgcd(a, b):
     return g, x, y
 
 
-def hnf(rows):
-    """Row Hermite normal form of the lattice spanned by ``rows``.
+def _echelon(work, ncols):
+    """Row-reduce the rows of ``work`` (lists, changed in place) on their
+    first ``ncols`` columns.
 
-    Returns (basis, pivots): ``basis`` is a list of the nonzero echelon rows
-    with positive pivots and entries above each pivot reduced into
-    [0, pivot); ``pivots`` is the list of pivot column indices.  The result
-    is the canonical basis of the row lattice.
+    Returns (basis, pivots, rest): one carrier row with a positive pivot per
+    pivot column, and the nonzero rows left, which vanish on those columns.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+    width = len(work[0])
     basis = []
     pivots = []
     for col in range(ncols):
@@ -63,12 +59,12 @@ def hnf(rows):
                     a, b = carrier[col], r[col]
                     if b % a == 0:
                         q = b // a
-                        for j in range(col, ncols):
+                        for j in range(col, width):
                             r[j] -= q * carrier[j]
                     else:
                         g, x, y = xgcd(a, b)
                         fa, fb = a // g, b // g
-                        for j in range(col, ncols):
+                        for j in range(col, width):
                             u, v = carrier[j], r[j]
                             carrier[j] = x * u + y * v
                             r[j] = -fb * u + fa * v
@@ -79,13 +75,28 @@ def hnf(rows):
                     rest.append(r)
         if carrier is not None:
             if carrier[col] < 0:
-                for j in range(col, ncols):
+                for j in range(col, width):
                     carrier[j] = -carrier[j]
             basis.append(carrier)
             pivots.append(col)
             work = rest
         if not work:
             break
+    return basis, pivots, work
+
+
+def hnf(rows):
+    """Row Hermite normal form of the lattice spanned by ``rows``.
+
+    Returns (basis, pivots): ``basis`` is a list of the nonzero echelon rows
+    with positive pivots and entries above each pivot reduced into
+    [0, pivot); ``pivots`` is the list of pivot column indices.  The result
+    is the canonical basis of the row lattice.
+    """
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return [], []
+    basis, pivots, _ = _echelon(work, len(work[0]))
     # reduce entries above each pivot, in increasing pivot order so that
     # earlier reductions are never disturbed
     for i in range(len(basis)):
@@ -153,7 +164,11 @@ def coords_in_lattice(vec, basis, pivots):
 def left_kernel(rows):
     """Basis of {x : x * A = 0} for the matrix A given by ``rows``.
 
-    The result spans a saturated lattice (it is the full integer kernel).
+    Row operations on [A | I] eliminate A's own n columns and stop there:
+    the rows left with a zero A-part carry, in their I-part, a unimodular
+    image of a kernel basis.  The result spans the full integer kernel, a
+    saturated lattice, but it is not in Hermite normal form; a caller that
+    needs a canonical basis takes ``hnf`` of what it keeps.
     """
     m = len(rows)
     if m == 0:
@@ -161,9 +176,7 @@ def left_kernel(rows):
     n = len(rows[0])
     aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)]
            for i in range(m)]
-    basis, pivots = hnf(aug)
-    # rows of the HNF whose A-part is zero form a basis of the kernel
-    return [row[n:] for row, p in zip(basis, pivots) if p >= n]
+    return [r[n:] for r in _echelon(aug, n)[2]]
 
 
 def snf_transforms(rows):
@@ -327,15 +340,6 @@ def mat_mul(a, b):
                     acc[j] += x * brow[j]
         out.append(acc)
     return out
-
-
-def vec_mat(v, b):
-    acc = [0] * len(b[0])
-    for x, row in zip(v, b):
-        if x:
-            for j in range(len(acc)):
-                acc[j] += x * row[j]
-    return acc
 
 
 def identity(n):

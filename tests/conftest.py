@@ -158,12 +158,36 @@ def annihilator_and_J(P, z):
         rows.append([c for i in range(0, len(y), 2)
                      for c in ring.omega_mul((y[i], y[i + 1]))])
     basis, _ = P.lam(z.flat_id)
-    ker = zl.left_kernel(rows + [list(r) for r in basis])
+    ker = left_kernel_hnf(rows + [list(r) for r in basis])
     tau = Ideal(ring, zl.hnf([k[:deg] for k in ker])[0])
-    yc = zl.vec_mat(y, P.lattice.C)
+    yc = vec_mat(y, P.lattice.C)
     J = frozenset(j for j in P.flat(z).J
                   if all(x % P.m == 0 for x in yc[deg * j: deg * (j + 1)]))
     return tau, J
+
+
+def finders_by_sub_arrangement(P, z):
+    """``LayerPoset.finders`` read off the sub-arrangement J(z).
+
+    (X, j) finds z from P = project(z, X) when z's flat covers X, j is in
+    J(z) - J(X) and J(z) cap J(X) spans X.  Those X are exactly the flats
+    of the sub-arrangement J(z) one codim above z's flat, walked here from
+    the ambient flat through the hyperplanes of J(z) alone; ``finders``
+    scans every covered flat with the span test instead.
+    """
+    lattice = P.lattice
+    level = [0]
+    for _ in range(P.flat(z).codim - 1):
+        nxt = {}
+        for fid in level:
+            cols = z.Jbits & ~lattice.flats[fid].Jbits
+            while cols:
+                low = cols & -cols
+                cols ^= low
+                nxt[lattice.child[(fid, low.bit_length() - 1)]] = None
+        level = list(nxt)
+    for xid in level:
+        yield P.project(z, xid), z.Jbits & ~lattice.flats[xid].Jbits
 
 
 def layer_digest(P):
@@ -362,6 +386,32 @@ def arrangement_to_json(A):
 
 def transpose(rows):
     return [list(col) for col in zip(*rows)]
+
+
+def vec_mat(v, b):
+    acc = [0] * len(b[0])
+    for x, row in zip(v, b):
+        if x:
+            for j in range(len(acc)):
+                acc[j] += x * row[j]
+    return acc
+
+
+def left_kernel_hnf(rows):
+    """HNF basis of {x : x * A = 0}, read off the full HNF of [A | I].
+
+    ``zlinalg.left_kernel`` stops once A's own columns are eliminated and
+    returns a basis that is not in HNF; this is its reference.
+    """
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(m)]
+           for i in range(m)]
+    basis, pivots = zl.hnf(aug)
+    # rows of the HNF whose A-part is zero form a basis of the kernel
+    return [row[n:] for row, p in zip(basis, pivots) if p >= n]
 
 
 def right_kernel(rows):

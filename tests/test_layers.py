@@ -1,16 +1,20 @@
+import hashlib
+import io
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from dedarr import charquasi as cq
+from dedarr import cli
 from dedarr import layers as ly
 from dedarr import ring as rg
 from dedarr import rootsys
 
 from conftest import (annihilator_and_J, determinant_coset_count,
-                      exhaustive_layer_poset, flats_above,
-                      hasse_covers_by_triples, invariant_factors,
+                      exhaustive_layer_poset, finders_by_sub_arrangement,
+                      flats_above, hasse_covers_by_triples, invariant_factors,
                       layer_digest, m_value, mobius_by_recursion,
                       rand_small_arrangement, rank_over_K)
 
@@ -194,6 +198,55 @@ def test_layer_tau_and_J_match_linear_algebra(gaussian_arrangement,
     assert zero >= 450
 
 
+def test_finders_are_the_sub_arrangement_coatoms(gaussian_arrangement,
+                                                 nonprincipal_arrangement):
+    # the span scan over every covered flat must name exactly the flats of
+    # the sub-arrangement J(L) one codim above L's flat, each once
+    split = 0
+    for A in rule_cases(gaussian_arrangement, nonprincipal_arrangement):
+        P = ly.layer_poset(A)
+        for z in P.layers:
+            if P.flat(z).codim == 0:
+                continue
+            got = sorted((w.index, bits) for w, bits in P.finders(z))
+            ref = sorted((w.index, bits)
+                         for w, bits in finders_by_sub_arrangement(P, z))
+            assert got == ref, (A.columns, z)
+            split += z.Jbits != P.flat(z).Jbits
+    assert split >= 100
+
+
+def test_layer_digests_match_recorded_hashes():
+    # the exhaustive loop shares FlatLattice, finders and tau with
+    # layer_poset; literal hashes of the digests pin the layer order and
+    # every (flat, y, J, tau, mu) against a change both would share
+    h4 = rootsys.builtin("H4").arrangement
+    cases = [
+        (rootsys.builtin("H3").arrangement, 63,
+         "dda20a24fb181e780d36f01e8cdb6e2b23b4913a672caa25fb50cba20ecb774c"),
+        (cq.Arrangement(h4.ring, h4.columns[:24]), 382,
+         "f2400e3c31be0dfea21d93af095cb31fda2c2b42b3f9d9a50918df85b3ef7623"),
+    ]
+    for A, count, expected in cases:
+        rows = [(i, f, y, tuple(sorted(J)), tau, mu)
+                for i, f, y, J, tau, mu in layer_digest(ly.layer_poset(A))]
+        assert len(rows) == count
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected
+
+
+def test_lam_matches_the_full_stack(gaussian_arrangement,
+                                    nonprincipal_arrangement):
+    # lam leaves out m*e_p at the flat's unit pivots; the HNF must be the
+    # one of the flat's rows with every m*e_r
+    for A in rule_cases(gaussian_arrangement, nonprincipal_arrangement):
+        P = ly.layer_poset(A)
+        D, m = P.lattice.D, P.m
+        for flat in P.lattice.flats:
+            rows = [list(r) for r in flat.lat] + [
+                [m if c == r else 0 for c in range(D)] for r in range(D)]
+            assert P.lam(flat.id) == ly.zl.hnf(rows)
+
+
 def test_refinements_built_only_where_needed(gaussian_arrangement,
                                              nonprincipal_arrangement,
                                              monkeypatch):
@@ -279,6 +332,51 @@ def test_layer_path_past_the_int64_image_bound():
     assert P.lattice.D * P.m ** 2 >= 2 ** 63 and P._C.dtype == object
     assert (cq.constituents(A, path="layers")
             == cq.constituents(A, path="subset"))
+
+
+def test_flat_images_at_the_int64_boundary():
+    # a flat's image is int64 while D*max|B|*max|C| < 2^63 and Python ints
+    # past it; the flats, their J and every coset count must match the
+    # pure-Python products, with m on both sides of 2^63
+    M = 2 ** 62 + 1
+    cases = [cq.Arrangement(Z, [[(M,), (M + 1,)], [(M + 1,), (M + 2,)],
+                                [(1,), (1,)], [(3,), (3,)]]),
+             cq.Arrangement(Z, [[(M,)], [(3,)]]),
+             # the line x1 = x2 has basis (1, 1), whose image 2M needs the
+             # factor D in the bound
+             cq.Arrangement(Z, [[(1,), (-1,)], [(M,), (M,)]]),
+             cq.Arrangement(ZI, [[(10 ** 2200, 0)]])]
+    dtypes = set()
+    for A in cases:
+        lattice = check_children(A)
+        for flat in lattice.flats:
+            assert flat.image.tolist() == ly.zl.mat_mul(
+                [list(r) for r in flat.lat], lattice.C)
+            dtypes.add(flat.image.dtype)
+        for m in (6, 2 ** 64 + 13):
+            kappa = rg.Ideal.principal(A.ring, A.ring.from_int(m))
+            check_coset_counts(A, kappa, lattice)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+def test_flat_lattice_budget(monkeypatch, capsys):
+    # every flat carries a zero layer, so the flat count is held to the
+    # layer budget; H3 has 48 flats, the last of them the origin
+    from dedarr.errors import BudgetExceeded
+    h3 = rootsys.builtin("H3").arrangement
+    monkeypatch.setattr(ly, "LAYER_BUDGET", 48)
+    assert len(ly.FlatLattice(h3).flats) == 48
+    monkeypatch.setattr(ly, "LAYER_BUDGET", 47)
+    with pytest.raises(BudgetExceeded, match="reached 48 flats at codim 3"):
+        ly.FlatLattice(h3)
+    monkeypatch.setattr(ly, "LAYER_BUDGET", 10)
+    with pytest.raises(BudgetExceeded, match="reached 11 flats at codim 1"):
+        ly.FlatLattice(h3)
+    capsys.readouterr()
+    out = io.StringIO()
+    assert cli.main(["rootsystem", "H3", "--constituents"], out=out) == 3
+    assert out.getvalue() == ""
+    assert "reached 11 flats at codim 1" in capsys.readouterr().err
 
 
 def test_wrong_layer_registration_is_caught(monkeypatch):
@@ -662,9 +760,14 @@ def test_localized_poset_matches_torsion_subposet():
 
 
 def test_layer_budget(gaussian_arrangement, monkeypatch):
-    from dedarr.errors import ExponentTooLarge
+    # the Gaussian four lines have 6 flats and 11 layers: at 6 the layer
+    # count trips the budget, below 6 the flat count does first
+    from dedarr.errors import BudgetExceeded, ExponentTooLarge
+    monkeypatch.setattr(ly, "LAYER_BUDGET", 6)
+    with pytest.raises(ExponentTooLarge, match="layer count exceeded"):
+        ly.layer_poset(gaussian_arrangement)
     monkeypatch.setattr(ly, "LAYER_BUDGET", 3)
-    with pytest.raises(ExponentTooLarge):
+    with pytest.raises(BudgetExceeded, match="reached 4 flats"):
         ly.layer_poset(gaussian_arrangement)
 
 

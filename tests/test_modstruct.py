@@ -9,7 +9,8 @@ from dedarr import zlinalg as zl
 from dedarr.errors import ElementNotInModule
 
 from conftest import (determinantal_ideals, invariant_factors,
-                      quotient_invariants, rank_over_K, restriction_rows)
+                      quotient_invariants, rank_over_K, restriction_rows,
+                      vec_mat)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -73,7 +74,7 @@ class TorsionModule:
         return tuple(c % d for c, d in zip(coords, self.invariants))
 
     def act_omega(self, coords):
-        out = zl.vec_mat(list(coords), self.omega_action) \
+        out = vec_mat(list(coords), self.omega_action) \
             if self.omega_action else list(coords)
         return self.canonical(out)
 

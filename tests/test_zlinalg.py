@@ -5,7 +5,7 @@ import pytest
 from dedarr import zlinalg as zl
 from dedarr.errors import CertificateFailure
 
-from conftest import rational_solve, saturate, snf_diagonal
+from conftest import left_kernel_hnf, rational_solve, saturate, snf_diagonal
 
 
 def rand_matrix(rng, m, n, bound=6):
@@ -77,6 +77,35 @@ def test_left_kernel_annihilates_and_is_saturated():
         if ker:
             sat, _ = zl.hnf(saturate(ker))
             assert sat == zl.hnf(ker)[0]
+
+
+def test_left_kernel_spans_the_reference_kernel():
+    # the kernel stops at A's columns, so its basis is not in HNF; it must
+    # span the lattice the full HNF of [A | I] gives
+    rng = random.Random(9)
+    big = 2 ** 63 + 11
+    cases = [[[0, 0, 0]], [[0], [0]], [[0, 0], [0, 0], [0, 0]],
+             [[big, big + 1], [big + 1, big + 2], [1, 1]],
+             [[big * 3, 5, -big], [big, 7, 2], [0, 1, 1], [big, 0, 0]]]
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(rand_matrix(rng, m, n))          # tall and wide
+        cases.append(rand_matrix(rng, 1, n))          # 1 x n
+        a = rand_matrix(rng, m, n)
+        a.append([sum(rng.randint(-2, 2) * r[j] for r in a)
+                  for j in range(n)])                 # rank deficient
+        a.insert(rng.randint(0, len(a)), [0] * n)     # a zero row
+        cases.append(a)
+        cases.append([[x * big for x in row]
+                      for row in rand_matrix(rng, m, n)])
+    deficient = 0
+    for a in cases:
+        ker = zl.left_kernel(a)
+        ref = left_kernel_hnf(a)
+        assert len(ker) == len(ref) == len(a) - zl.rank(a), a
+        assert zl.hnf(ker)[0] == ref, a
+        deficient += zl.rank(a) < min(len(a), len(a[0]))
+    assert deficient >= 25
 
 
 def test_snf_diagonal_invariants():
