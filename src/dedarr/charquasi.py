@@ -380,10 +380,11 @@ def _constituents_subset_sum(A, rho):
     ell = A.ell
     n = A.n
     deg = ring.degree
+    # an unfactorable period fails here, before any minor is tabled
+    primes = [p for p, _ in rho.factor()]
     # no subset has rank above r, so no table past size r is read
     r = _rank(A)
     _, tables, _, _, offsets = _minor_tables(A, r, r)
-    primes = [p for p, _ in rho.factor()]
     vals = [PrimeValuator(p) for p in primes]
     np_ = len(primes)
     INF = 10 ** 9

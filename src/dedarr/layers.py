@@ -70,6 +70,11 @@ class FlatLattice:
     kernel cuts the flat by hyperplane j, and ``LayerPoset.coset_counts``
     reduces the image mod m.  Every flat carries a zero layer, so the flat
     count is held to LAYER_BUDGET, which the layer path could never pass.
+
+    The layer path reaches the flats of a sub-arrangement one way only:
+    ``sub_top`` walks them from the ambient flat through ``child`` and
+    keeps, per set of columns, the Moebius value at the top and the
+    coatoms.
     """
 
     def __init__(self, arrangement):
@@ -118,11 +123,9 @@ class FlatLattice:
                     new_ids.append(got)
                     self._register(by_low, self.flats[got])
             level = new_ids
-        mob = self._mobius_on((1 << A.n) - 1)
+        mob, _ = self._mobius_on((1 << A.n) - 1)
         self.mobius = [mob[i] for i in range(len(self.flats))]
         self._sub_top = {}
-        self._span = {}
-        self._covered = None
 
     def _register(self, by_low, flat):
         """Record flat as X cap H_i for every X of the level inside it.
@@ -181,28 +184,6 @@ class FlatLattice:
                 f"{LAYER_BUDGET} (every flat carries a zero layer)")
         return fid
 
-    def span(self, col_bits):
-        """Id of the flat cut out by the hyperplanes in col_bits."""
-        fid = self._span.get(col_bits)
-        if fid is None:
-            fid = 0
-            rest = col_bits & ~self.flats[0].Jbits
-            while rest:
-                low = rest & -rest
-                fid = self.child[(fid, low.bit_length() - 1)]
-                rest &= ~self.flats[fid].Jbits
-            self._span[col_bits] = fid
-        return fid
-
-    def covered(self, fid):
-        """Ids of the flats that the flat fid covers, read off child."""
-        if self._covered is None:
-            covered = {}
-            for (xid, _), yid in self.child.items():
-                covered.setdefault(yid, {})[xid] = None
-            self._covered = {yid: tuple(xs) for yid, xs in covered.items()}
-        return self._covered.get(fid, ())
-
     def _mobius_on(self, col_bits):
         """Moebius values on the flats of the sub-arrangement on col_bits.
 
@@ -210,14 +191,15 @@ class FlatLattice:
         child[(X, j)] with j in col_bits, and its covers are those steps.
         Each level is reached from the one before, so the flats above a
         flat (its covers and the flats above those, kept as bits of flat
-        ids) are complete before its value is summed.  Returns
-        {flat id: mu}.
+        ids) are complete before its value is summed.  The last level is
+        the top alone, and the level before it holds the coatoms.  Returns
+        ({flat id: mu}, coatom ids).
         """
         flats, child = self.flats, self.child
         above = {0: 0}
         mob = {}
-        level = [0]
-        while level:
+        coatoms, level = (), [0]
+        while True:
             nxt = []
             for fid in level:
                 bits = above[fid]
@@ -239,8 +221,9 @@ class FlatLattice:
                     else:
                         above[yid] = up
                         nxt.append(yid)
-            level = nxt
-        return mob
+            if not nxt:
+                return mob, tuple(coatoms)
+            coatoms, level = level, nxt
 
     def characteristic_polynomial(self):
         """Whitney-sum characteristic polynomial of the hyperplane poset."""
@@ -249,19 +232,21 @@ class FlatLattice:
             coeffs[f.dim] += self.mobius[f.id]
         return tuple(coeffs)
 
-    def sub_top_mobius(self, sub_bits):
-        """Moebius value at the top of the sub-arrangement on these columns.
+    def sub_top(self, col_bits):
+        """(mu, coatom ids) at the top of the sub-arrangement on col_bits.
 
         The flats of a column-subset arrangement are main-lattice flats,
         reachable through the cached intersection map, so no new linear
-        algebra happens here.  The top is the deepest flat reached, which
-        has the largest id.
+        algebra happens here.  One kept walk per set of columns gives both:
+        ``LayerPoset.finders`` and ``fill_mobius`` read the sub-arrangement
+        J(L) of a layer here.
         """
-        value = self._sub_top.get(sub_bits)
-        if value is None:
-            mob = self._mobius_on(sub_bits)
-            value = self._sub_top[sub_bits] = mob[max(mob)]
-        return value
+        got = self._sub_top.get(col_bits)
+        if got is None:
+            mob, coatoms = self._mobius_on(col_bits)
+            # the top is the deepest flat reached, which has the largest id
+            got = self._sub_top[col_bits] = (mob[max(mob)], coatoms)
+        return got
 
 
 def whitney_characteristic_polynomial(A):
@@ -291,17 +276,18 @@ class Layer:
 class _Refinement:
     """Solver data for intersecting layers of one flat with one subgroup.
 
-    The caller passes M = lam_basis * colmat and the number of cosets of
-    the child lattice in the homogeneous solutions.  The invariant factors
-    of M come from gcds of its entries and 2x2 minors; the Smith
-    transforms U, V are computed only when coset representatives or a
-    nonzero layer need them.
+    The caller passes the number of cosets of the child lattice in the
+    homogeneous solutions.  ``__init__`` forms M = lam_basis * colmat and
+    its Smith transforms U, V, and checks their diagonal against the
+    invariant factors from gcds of M's entries and 2x2 minors: a
+    refinement is built only for a nonzero parent or a many-component cut,
+    and both need U.
     """
 
     __slots__ = ("lam_child", "pivots_child", "basis", "colmat",
-                 "M", "V", "U", "diag", "steps", "reps", "m")
+                 "V", "U", "diag", "steps", "reps", "m")
 
-    def __init__(self, lam_basis, lam_child, pivots_child, colmat, M, m,
+    def __init__(self, lam_basis, lam_child, pivots_child, colmat, m,
                  cosets):
         D = len(lam_basis)
         deg = len(colmat[0])
@@ -310,14 +296,17 @@ class _Refinement:
         self.basis = lam_basis
         self.colmat = colmat
         self.m = m
-        self.M = M
-        self.U = self.V = None
+        M = zl.mat_mul(lam_basis, colmat)
         self.diag = zl.small_snf_diagonal(M)
+        diag, U, V, _ = zl.snf_transforms(M)
+        if diag + [0] * (len(self.diag) - len(diag)) != self.diag:
+            raise CertificateFailure(
+                "Smith form disagrees with the gcd invariant factors")
+        self.U, self.V = U, V
         self.steps = [m // math.gcd(d, m) for d in self.diag]
         if cosets == 1:
             self.reps = [[0] * D]
         else:
-            U, _ = self._transforms()
             hom = []
             for i in range(D):
                 if i < deg:
@@ -333,17 +322,6 @@ class _Refinement:
                 raise CertificateFailure(
                     "coset representatives disagree with the coset count")
 
-    def _transforms(self):
-        """(U, V) of the Smith form of M, checked against the gcd diagonal."""
-        if self.U is None:
-            diag, U, V, _ = zl.snf_transforms(self.M)
-            diag = diag + [0] * (len(self.diag) - len(diag))
-            if diag != self.diag:
-                raise CertificateFailure(
-                    "Smith form disagrees with the gcd invariant factors")
-            self.U, self.V = U, V
-        return self.U, self.V
-
     def solve(self, y):
         """Components of (layer y + parent lattice) meeting the subgroup.
 
@@ -352,7 +330,7 @@ class _Refinement:
         m = self.m
         deg = len(self.colmat[0])
         if any(y):
-            U, V = self._transforms()
+            U, V = self.U, self.V
             t = [0] * deg
             for i, yi in enumerate(y):
                 if yi:
@@ -422,13 +400,13 @@ class LayerPoset:
     ``mobius_sums``; each constituent is read off that table.
     """
 
-    def __init__(self, arrangement, period, lattice, m, layers, index):
+    def __init__(self, arrangement, period, lattice):
         self.arrangement = arrangement
         self.period = period
         self.lattice = lattice
-        self.m = m
-        self.layers = layers
-        self.index = index  # (flat id, y tuple) -> layer index
+        self.m = m = period.least_integer()
+        self.layers = []
+        self.index = {}  # (flat id, y tuple) -> layer index
         self.mobius_sums = None  # (dim, tau) -> sum of mu, by fill_mobius
         self._lam = {}
         self._unit = Ideal.unit(arrangement.ring)
@@ -497,17 +475,15 @@ class LayerPoset:
         """(P, bits of j) for each refinement (X, j) that finds z from P.
 
         (X, j) finds z from P = project(z, X) exactly when z's flat covers
-        X, j is in J(z) - J(X) and J(z) cap J(X) spans X.  Then J(P) is
-        J(z) cap J(X), since the column of any i in J(X) is constant on P,
-        and every layer's J spans its flat.  P is None only if a layer
-        that must exist is missing.
+        X, j is in J(z) - J(X) and J(z) cap J(X) spans X: X is a coatom of
+        the sub-arrangement J(z), whose top is z's flat since every layer's
+        J spans its flat.  Then J(P) is J(z) cap J(X), since the column of
+        any i in J(X) is constant on P.  P is None only if a layer that
+        must exist is missing.
         """
-        lattice = self.lattice
-        for xid in lattice.covered(z.flat_id):
-            x_bits = lattice.flats[xid].Jbits
-            common = z.Jbits & x_bits
-            if common == x_bits or lattice.span(common) == xid:
-                yield self.project(z, xid), z.Jbits & ~x_bits
+        flats = self.lattice.flats
+        for xid in self.lattice.sub_top(z.Jbits)[1]:
+            yield self.project(z, xid), z.Jbits & ~flats[xid].Jbits
 
     def leq(self, a, b):
         """a <= b in the poset, i.e. the layer a contains the layer b."""
@@ -568,17 +544,15 @@ class LayerPoset:
     def fill_mobius(self):
         """Set each layer's mu by the localization in the class docstring.
 
-        Then sum mu per (dim, tau) into ``mobius_sums``.  Keys whose sum is
-        0 stay: the minimality certificate takes the lcm over every tau.
+        mu(L) is read off the memoised walk of the sub-arrangement J(L),
+        the one ``finders`` reads its coatoms from.  Then sum mu per
+        (dim, tau) into ``mobius_sums``.  Keys whose sum is 0 stay: the
+        minimality certificate takes the lcm over every tau.
         """
-        lattice = self.lattice
+        sub_top = self.lattice.sub_top
         sums = {}
         for z in self.layers:
-            flat = self.flat(z)
-            if z.Jbits == flat.Jbits:
-                z.mu = lattice.mobius[flat.id]
-            else:
-                z.mu = lattice.sub_top_mobius(z.Jbits)
+            z.mu = sub_top(z.Jbits)[0]
             key = (z.dim, z.tau)
             sums[key] = sums.get(key, 0) + z.mu
         self.mobius_sums = sums
@@ -676,13 +650,16 @@ def layer_poset(A, period=None):
     When ``period`` is the lcm period (the default) this is the full
     poset; a proper divisor of it builds the corresponding torsion
     subposet, which is the poset of the arrangement over the localized
-    ring whose dead primes were stripped from the period.
+    ring whose dead primes were stripped from the period.  The period is
+    factored first, since every reader of the poset needs its primes: a
+    period past the factoring budget fails before any flat is built.
 
     The layers of each level are the components of P cap H_j, for P a
     layer of a flat X of the level above and j outside J(X).  The pair
     (X, j) finds the layer L from P = project(L, X) exactly when j is in
     J(L) and J(L) cap J(X) spans X (``LayerPoset.finders``), so each new
-    layer is recorded at those (X, P) under the bits J(L) - J(X).  For
+    layer is recorded at those (X, P) under the bits J(L) - J(X); the X
+    are the coatoms of the sub-arrangement J(L).  For
     one (X, j), every P cap H_j has the same number of components, read
     off the image of X under column j; a parent layer with that many
     layers recorded for j can find nothing new and is not solved, one with
@@ -696,10 +673,10 @@ def layer_poset(A, period=None):
     from .charquasi import lcm_period
     if period is None:
         period = lcm_period(A)
-    m = period.least_integer()
+    period.factor()  # an unfactorable period fails before any flat
     lattice = FlatLattice(A)
     D = lattice.D
-    poset = LayerPoset(A, period, lattice, m, [], {})
+    poset = LayerPoset(A, period, lattice)
     # parent index -> (for each j, how many recorded layers (its flat, j)
     # finds from it; the recorded (bits of j, layer) pairs)
     found = {}
@@ -770,7 +747,7 @@ def layer_poset(A, period=None):
                             colmat = lattice.colmats[j]
                             refine = _Refinement(
                                 lam_basis, lam_child, pivots_child, colmat,
-                                zl.mat_mul(lam_basis, colmat), m, cosets)
+                                poset.m, cosets)
                         outs = refine.solve(list(y))
                     for bits, z in recorded:
                         if bits >> j & 1 and (z.flat_id != child

@@ -106,9 +106,8 @@ def exhaustive_layer_poset(A, period=None, finds=None):
     """
     if period is None:
         period = cq.lcm_period(A)
-    m = period.least_integer()
     lattice = ly.FlatLattice(A)
-    P = ly.LayerPoset(A, period, lattice, m, [], {})
+    P = ly.LayerPoset(A, period, lattice)
 
     zero = (0,) * lattice.D
     P.add_layer(0, zero)
@@ -127,8 +126,7 @@ def exhaustive_layer_poset(A, period=None, finds=None):
                 lam_child, pivots_child = P.lam(child)
                 colmat = lattice.colmats[j]
                 refine = ly._Refinement(lam_basis, lam_child, pivots_child,
-                                        colmat, zl.mat_mul(lam_basis, colmat),
-                                        m, determinant_coset_count(
+                                        colmat, P.m, determinant_coset_count(
                                             P, flat.id, j))
                 for y in ys:
                     for y_new in refine.solve(list(y)):
@@ -172,8 +170,9 @@ def finders_by_sub_arrangement(P, z):
     (X, j) finds z from P = project(z, X) when z's flat covers X, j is in
     J(z) - J(X) and J(z) cap J(X) spans X.  Those X are exactly the flats
     of the sub-arrangement J(z) one codim above z's flat, walked here from
-    the ambient flat through the hyperplanes of J(z) alone; ``finders``
-    scans every covered flat with the span test instead.
+    the ambient flat through the hyperplanes of J(z) alone, one codim at a
+    time; ``finders`` reads them off ``FlatLattice.sub_top``, the memoised
+    walk that also gives mu(z), instead.
     """
     lattice = P.lattice
     level = [0]

@@ -200,8 +200,9 @@ def test_layer_tau_and_J_match_linear_algebra(gaussian_arrangement,
 
 def test_finders_are_the_sub_arrangement_coatoms(gaussian_arrangement,
                                                  nonprincipal_arrangement):
-    # the span scan over every covered flat must name exactly the flats of
-    # the sub-arrangement J(L) one codim above L's flat, each once
+    # the coatoms FlatLattice.sub_top keeps must be exactly the flats of
+    # the sub-arrangement J(L) one codim above L's flat, each once, as
+    # conftest's independent level walk names them
     split = 0
     for A in rule_cases(gaussian_arrangement, nonprincipal_arrangement):
         P = ly.layer_poset(A)
@@ -296,7 +297,7 @@ def test_constituents_from_the_table_match_layer_sums(
 
 
 def check_coset_counts(A, kappa, lattice):
-    P = ly.LayerPoset(A, kappa, lattice, kappa.least_integer(), [], {})
+    P = ly.LayerPoset(A, kappa, lattice)
     for flat in lattice.flats:
         if flat.dim == 0:
             continue
@@ -407,7 +408,11 @@ def test_overcounted_registration_is_caught(monkeypatch):
     def extra(self, z):
         yield from right(self, z)
         zero = (0,) * self.lattice.D
-        for xid in self.lattice.covered(z.flat_id):
+        # the flats z's flat covers, by inverting the intersection map
+        covered = dict.fromkeys(xid for (xid, _), yid
+                                in self.lattice.child.items()
+                                if yid == z.flat_id)
+        for xid in covered:
             x_bits = self.lattice.flats[xid].Jbits
             yield self.layers[self.index[(xid, zero)]], z.Jbits & ~x_bits
 
@@ -557,10 +562,14 @@ def test_sub_top_mobius_of_all_columns_is_bottom_flat():
         lat = ly.FlatLattice(A)
         bottom = lat.flats[-1]
         assert bottom.codim == max(f.codim for f in lat.flats)
-        assert lat.sub_top_mobius((1 << A.n) - 1) == lat.mobius[bottom.id]
+        mu, coatoms = lat.sub_top((1 << A.n) - 1)
+        assert mu == lat.mobius[bottom.id]
+        # the bottom flat covers every flat one codim above it
+        assert sorted(coatoms) == [f.id for f in lat.flats
+                                   if f.codim == bottom.codim - 1]
         # and on each flat's own columns, that flat's value
         for flat in lat.flats[1:]:
-            assert lat.sub_top_mobius(flat.Jbits) == lat.mobius[flat.id]
+            assert lat.sub_top(flat.Jbits)[0] == lat.mobius[flat.id]
 
 
 def test_mobius_sign_alternation():
@@ -813,8 +822,8 @@ def test_localized_poset_partial_strip(nonprincipal_arrangement):
 
 
 def test_refinement_checks_gcd_diagonal(gaussian_arrangement, monkeypatch):
-    # the Smith form that runs for the nonzero layers must confirm the
-    # invariant factors read off gcds; a planted wrong one is caught
+    # the Smith form each refinement takes must confirm the invariant
+    # factors read off gcds; a planted wrong one is caught
     from dedarr.errors import CertificateFailure
     right = ly.zl.small_snf_diagonal
 
