@@ -30,7 +30,7 @@ from .quasipoly import QuasiPolynomial
 from .ring import Ideal, format_factored
 
 LAYER_BUDGET = 5 * 10 ** 6
-HASSE_BUDGET = 10 ** 6  # cover tests: the square of the chosen-layer count
+HASSE_BUDGET = 10 ** 6  # the square of the most layers a Hasse diagram draws
 
 
 class Flat:
@@ -282,6 +282,10 @@ class _Refinement:
     invariant factors from gcds of M's entries and 2x2 minors: a
     refinement is built only for a nonzero parent or a many-component cut,
     and both need U.
+
+    ``solve`` works in Smith coordinates: a point y + s*U*lam_basis meets
+    the subgroup when s*U*M = -y*colmat mod m, that is when
+    s_i*d_i = r_i mod m for r = (-y*colmat mod m)*V and the diagonal d.
     """
 
     __slots__ = ("lam_child", "pivots_child", "basis", "colmat",
@@ -307,15 +311,9 @@ class _Refinement:
         if cosets == 1:
             self.reps = [[0] * D]
         else:
-            hom = []
-            for i in range(D):
-                if i < deg:
-                    row = [self.steps[i] * u for u in U[i]]
-                else:
-                    row = list(U[i])
-                hom.append(row)
-            hom_y = zl.mat_mul(hom, lam_basis)
-            sol_basis, _ = zl.hnf(hom_y)
+            hom = [[self.steps[i] * u for u in row] if i < deg else row
+                   for i, row in enumerate(U)]
+            sol_basis, _ = zl.hnf(zl.mat_mul(hom, lam_basis))
             self.reps = zl.coset_reps([list(r) for r in lam_child],
                                       sol_basis)
             if len(self.reps) != cosets:
@@ -328,60 +326,23 @@ class _Refinement:
         Returns canonical child representatives, or an empty list.
         """
         m = self.m
-        deg = len(self.colmat[0])
-        if any(y):
-            U, V = self.U, self.V
-            t = [0] * deg
-            for i, yi in enumerate(y):
-                if yi:
-                    row = self.colmat[i]
-                    for s in range(deg):
-                        t[s] -= yi * row[s]
-            rhs = [0] * deg
-            for i in range(deg):
-                ti = t[i] % m
-                if ti:
-                    row = V[i]
-                    for s in range(deg):
-                        rhs[s] += ti * row[s]
-            s_part = [0] * len(y)
-            nonzero = False
-            for i in range(deg):
-                d = self.diag[i]
-                g = math.gcd(d, m)
-                r = rhs[i] % m
-                if r % g:
-                    return []
-                mm = m // g
-                if mm > 1:
-                    val = (r // g) * pow((d // g) % mm, -1, mm) % mm
-                    if val:
-                        s_part[i] = val
-                        nonzero = True
-            if nonzero:
-                base = list(y)
-                basis = self.basis
-                for i in range(deg):
-                    si = s_part[i]
-                    if si:
-                        urow = U[i]
-                        for t2 in range(len(y)):
-                            u = urow[t2]
-                            if u:
-                                brow = basis[t2]
-                                su = si * u
-                                for c in range(len(y)):
-                                    base[c] += su * brow[c]
-            else:
-                base = list(y)
-        else:
-            base = list(y)
-        out = []
-        for rep in self.reps:
-            v = [base[i] + rep[i] for i in range(len(base))]
-            out.append(tuple(zl.reduce_mod(v, self.lam_child,
-                                           self.pivots_child)))
-        return out
+        t = zl.mat_mul([y], self.colmat)[0]
+        rhs = zl.mat_mul([[-x % m for x in t]], self.V)[0]
+        s = []
+        for d, r in zip(self.diag, rhs):
+            g = math.gcd(d, m)
+            r %= m
+            if r % g:
+                return []
+            mm = m // g
+            s.append((r // g) * pow((d // g) % mm, -1, mm) % mm
+                     if mm > 1 else 0)
+        # s has deg entries, so only U's first deg rows enter
+        shift = zl.mat_mul(zl.mat_mul([s], self.U), self.basis)[0]
+        base = [a + b for a, b in zip(y, shift)]
+        return [tuple(zl.reduce_mod([a + b for a, b in zip(base, rep)],
+                                    self.lam_child, self.pivots_child))
+                for rep in self.reps]
 
 
 class LayerPoset:
@@ -391,7 +352,9 @@ class LayerPoset:
     flats above the flat of L in the central sub-arrangement J(L) of the
     hyperplanes whose subgroups contain L, so mu(L) is the Moebius value
     at the top of the intersection lattice of J(L).  When J(L) is the
-    whole J of its flat, that is the flat's own value.
+    whole J of its flat, that is the flat's own value.  The same match
+    gives the covers: the layers one dimension up that contain L are its
+    projections to the coatoms of J(L), the parents ``finders`` yields.
 
     The zero layer (y = 0) of a flat is the flat's own image: its
     annihilator is the unit ideal and J(L) = J(flat), given by rule with no
@@ -605,11 +568,14 @@ class LayerPoset:
     def hasse_dot(self, kappa=None):
         """Deterministic DOT digraph of the (restricted) poset.
 
-        The poset is graded by dimension and a kappa-subposet is an order
-        ideal, so zi covers zk exactly when dim zi = dim zk + 1 and zi
-        contains zk.  The cover test runs over pairs of chosen layers, so
-        a square of the chosen-layer count past HASSE_BUDGET raises before
-        any work.
+        The layers covering a layer z, one dimension up and containing it,
+        are its projections to the coatoms of the sub-arrangement J(z):
+        the parents ``finders`` yields.  A kappa-subposet holds every
+        parent of its layers, since a parent's annihilator contains its
+        child's, so the edges are the (parent, z) pairs of the chosen
+        layers, in node order.  The drawing is held to layers whose count
+        squared is at most HASSE_BUDGET: a larger one raises before any
+        work.
         """
         if kappa is None:
             chosen = list(range(len(self.layers)))
@@ -617,29 +583,23 @@ class LayerPoset:
             chosen = self.kappa_subposet(kappa)
         if len(chosen) ** 2 > HASSE_BUDGET:
             raise BudgetExceeded(
-                f"a Hasse diagram of {len(chosen)} layers needs "
-                f"{len(chosen) ** 2} cover tests, over the budget of "
+                f"a Hasse diagram of {len(chosen)} layers is too large to "
+                f"draw: their count squared is over the budget of "
                 f"{HASSE_BUDGET}")
         nodes = sorted(
             chosen,
             key=lambda i: (-self.layers[i].dim,
                            self.representative_string(self.layers[i])))
         lines = ["digraph layers {"]
-        labels = {}
         for order, i in enumerate(nodes):
             z = self.layers[i]
-            name = f"n{order}"
-            labels[i] = name
             rep = self.representative_string(z)
             tau = format_factored(z.tau)
-            lines.append(
-                f'  {name} [label="{rep} | {tau} | {z.mu}"];')
-        for i in nodes:
-            zi = self.layers[i]
-            for k in nodes:
-                zk = self.layers[k]
-                if zi.dim == zk.dim + 1 and self.leq(zi, zk):
-                    lines.append(f"  {labels[i]} -> {labels[k]};")
+            lines.append(f'  n{order} [label="{rep} | {tau} | {z.mu}"];')
+        pos = {i: order for order, i in enumerate(nodes)}
+        edges = sorted((pos[parent.index], pos[i]) for i in nodes
+                       for parent, _ in self.finders(self.layers[i]))
+        lines += [f"  n{a} -> n{b};" for a, b in edges]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -748,7 +708,7 @@ def layer_poset(A, period=None):
                             refine = _Refinement(
                                 lam_basis, lam_child, pivots_child, colmat,
                                 poset.m, cosets)
-                        outs = refine.solve(list(y))
+                        outs = refine.solve(y)
                     for bits, z in recorded:
                         if bits >> j & 1 and (z.flat_id != child
                                               or z.y not in outs):

@@ -86,43 +86,35 @@ def _grid_chunks(a, ell, budget):
         yield coords
 
 
-def brute_count_complement(arrangement, a, budget=DEFAULT_BUDGET):
-    """Number of residue vectors avoiding every hyperplane of the arrangement."""
-    ring = arrangement.ring
-    m = _reduction_modulus(ring, a, arrangement.ell)
-    columns = [[_reduce(x, m) for x in col] for col in arrangement.columns]
+def _count(ring, a, ell, vectors, budget, on):
+    """Residue vectors x in (O/a)^ell with x*v in a for every vector v of
+    ``vectors`` when ``on``, for none of them otherwise."""
+    m = _reduction_modulus(ring, a, ell)
+    vectors = [[_reduce(x, m) for x in v] for v in vectors]
     count = 0
-    for coords in _grid_chunks(a, arrangement.ell, budget):
+    for coords in _grid_chunks(a, ell, budget):
         alive = np.ones(len(coords[0][0]), dtype=bool)
-        for col in columns:
+        for v in vectors:
             acc = None
-            for i in range(arrangement.ell):
-                term = _mul_arrays(ring, coords[i], col[i])
+            for i in range(ell):
+                term = _mul_arrays(ring, coords[i], v[i])
                 acc = term if acc is None else tuple(
                     x + y for x, y in zip(acc, term))
-            alive &= ~_membership_mask(ring, a, acc)
+            mask = _membership_mask(ring, a, acc)
+            alive &= mask if on else ~mask
             if not alive.any():
                 break
         count += int(alive.sum())
     return count
+
+
+def brute_count_complement(arrangement, a, budget=DEFAULT_BUDGET):
+    """Number of residue vectors avoiding every hyperplane of the arrangement."""
+    return _count(arrangement.ring, a, arrangement.ell, arrangement.columns,
+                  budget, on=False)
 
 
 def brute_count_kernel(C, a, budget=DEFAULT_BUDGET):
     """Number of residue vectors x with x*C = 0 modulo the ideal."""
-    ring = C.ring
-    m = _reduction_modulus(ring, a, C.nrows)
-    rows = [[_reduce(x, m) for x in row] for row in C.rows]
-    count = 0
-    for coords in _grid_chunks(a, C.nrows, budget):
-        alive = np.ones(len(coords[0][0]), dtype=bool)
-        for j in range(C.ncols):
-            acc = None
-            for i in range(C.nrows):
-                term = _mul_arrays(ring, coords[i], rows[i][j])
-                acc = term if acc is None else tuple(
-                    x + y for x, y in zip(acc, term))
-            alive &= _membership_mask(ring, a, acc)
-            if not alive.any():
-                break
-        count += int(alive.sum())
-    return count
+    columns = [[row[j] for row in C.rows] for j in range(C.ncols)]
+    return _count(C.ring, a, C.nrows, columns, budget, on=True)

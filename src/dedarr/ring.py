@@ -152,14 +152,14 @@ def _check_same_ring(a, b):
 class Ideal:
     """A nonzero ideal of the ring, as an HNF integer lattice."""
 
-    __slots__ = ("ring", "hnf", "_norm", "_smaller", "_prime")
+    __slots__ = ("ring", "hnf", "_norm", "_factors")
 
     def __init__(self, ring, hnf_rows):
         self.ring = ring
         self.hnf = tuple(tuple(r) for r in hnf_rows)
-        # set when the ideal was built as _smaller * _prime, the prime no
-        # smaller than any prime of _smaller: factor() reads them back
-        self._smaller = self._prime = None
+        # the sorted (prime, exponent) pairs, once factor() found them or
+        # the ideal was built from its primes
+        self._factors = None
         self._norm = 1
         for i in range(ring.degree):
             self._norm *= self.hnf[i][i]
@@ -188,7 +188,9 @@ class Ideal:
 
     @classmethod
     def unit(cls, ring):
-        return cls(ring, zl.identity(ring.degree))
+        one = cls(ring, zl.identity(ring.degree))
+        one._factors = ()
+        return one
 
     # -- basics --
 
@@ -325,16 +327,8 @@ class Ideal:
     def factor(self):
         """Prime factorization, deterministically ordered."""
         ring = self.ring
-        if self._prime is not None:
-            exps = {}
-            ideal = self
-            while ideal._prime is not None:
-                exps[ideal._prime] = exps.get(ideal._prime, 0) + 1
-                ideal = ideal._smaller
-            # the primes were multiplied in sorted order
-            return PrimeFactorization(ring, tuple(reversed(exps.items())))
-        if self.is_unit_ideal():
-            return PrimeFactorization(ring, ())
+        if self._factors is not None:
+            return PrimeFactorization(ring, self._factors)
         factors = {}
         for p, _ in sorted(_factor_int(self._norm).items()):
             for prime in _primes_above(ring, p):
@@ -345,6 +339,7 @@ class Ideal:
         fact = PrimeFactorization(ring, tuple(items))
         if fact.product() != self:
             raise AssertionError("factorization failed to reassemble")
+        self._factors = fact.factors
         return fact
 
     def divisors(self):
@@ -573,6 +568,8 @@ def ideals_of_norm_up_to(ring, bound):
                 if prime.norm <= bound:
                     primes.append(prime)
     primes.sort(key=Ideal.sort_key)
+    # one (prime, 1) pair per prime, shared by the products ending in it
+    firsts = [(prime, 1) for prime in primes]
     result = []
 
     def extend(ideal, start):
@@ -584,7 +581,12 @@ def ideals_of_norm_up_to(ring, bound):
             if ideal.norm * prime.norm > bound:
                 break
             product = ideal * prime if ideal.norm > 1 else prime
-            product._smaller, product._prime = ideal, prime
+            factors = ideal._factors
+            if factors and factors[-1][0] is prime:
+                product._factors = factors[:-1] + (
+                    (prime, factors[-1][1] + 1),)
+            else:
+                product._factors = factors + (firsts[i],)
             extend(product, i)
 
     extend(Ideal.unit(ring), 0)

@@ -199,8 +199,8 @@ def hasse_covers_by_triples(P, chosen):
     """Cover pairs (i, k) among the chosen layers, by the definition.
 
     zi covers zk when zi contains zk and no chosen layer lies strictly
-    between them.  The triple loop ``LayerPoset.hasse_dot`` ran before it
-    read covers off dimensions; its pair test is checked against this.
+    between them.  ``LayerPoset.hasse_dot`` reads its edges off
+    ``finders``; they are checked against this triple loop.
     """
     covers = set()
     for i in chosen:

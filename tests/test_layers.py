@@ -683,6 +683,38 @@ def test_hasse_dot(gaussian_arrangement, nonprincipal_arrangement):
     assert dot == P.hasse_dot()  # deterministic
 
 
+def test_hasse_dot_matches_recorded_hashes(gaussian_arrangement,
+                                           nonprincipal_arrangement):
+    # literal hashes of the DOT text, whole poset first and then each
+    # divisor's torsion subposet in divisor order, pin the node order,
+    # the labels and the edge order
+    cases = [
+        (gaussian_arrangement, [
+            "2d09ebf08462de3d047c92a5074296053b1b2d6fd4db0c4b1c634526a8653964",
+            "c82db31a728a6bea1898d2517ceefe105473d2d031654abda6d4007c3c15611f",
+            "6b3d61f148026ab46081604ab0b946ee5b5e0e386a8a759183381fc0b7a1a2b7",
+            "2d09ebf08462de3d047c92a5074296053b1b2d6fd4db0c4b1c634526a8653964",
+        ]),
+        (nonprincipal_arrangement, [
+            "912371c3938972bbf23afcfd31e8dba3f65168d3ed2d901809226290f99f03c4",
+            "57d9e07e6273b62609792c57a945eb92e97f24894c822f35b551f1664bab1ca2",
+            "8b54d1cd5e6b2c7a84764ef853b5152763111f4ff184d01af17a5acb515ed44d",
+            "0c78bbbd20d3b18d0451e3548277892db777f3e461ee8aecda1565036c513c2a",
+            "912371c3938972bbf23afcfd31e8dba3f65168d3ed2d901809226290f99f03c4",
+        ]),
+        (rootsys.builtin("H3").arrangement, [
+            "4cd139a22739c415cd9d20a71100c05115cf92d239ca0bce5faeb2a576bbd8f0",
+            "f0483ddb53cace6e3a552278c4a3a8f5c50778411235109934fb374fd51eec0a",
+            "4cd139a22739c415cd9d20a71100c05115cf92d239ca0bce5faeb2a576bbd8f0",
+        ]),
+    ]
+    for A, expected in cases:
+        P = ly.layer_poset(A)
+        got = [hashlib.sha256(P.hasse_dot(kappa).encode()).hexdigest()
+               for kappa in [None] + P.period.divisors()]
+        assert got == expected, A.columns
+
+
 def test_hasse_dot_budget(nonprincipal_arrangement, monkeypatch):
     # the cover test is quadratic in the chosen layers: the budget bounds
     # the square before any work, also for a torsion subposet

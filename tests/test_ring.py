@@ -487,6 +487,28 @@ def test_ideals_of_norm_up_to_keep_their_factorization():
             assert kept.product() == a
 
 
+def test_period_is_factored_once(monkeypatch):
+    # the period keeps its factorization, so one run factors its norm once
+    from dedarr import charquasi as cq
+    from dedarr import rootsys
+    h3 = rootsys.builtin("H3").arrangement
+    norm = cq.lcm_period(h3).norm
+    real = rg._factor_int
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(rg, "_factor_int", spy)
+    for run in (lambda: cq.constituents(h3, path="layers"),
+                lambda: cq.constituents(h3, path="subset"),
+                lambda: cq.minimality_certificate(h3)):
+        calls.clear()
+        run()
+        assert calls == [norm]
+
+
 def test_ring_mismatch_raises():
     with pytest.raises(RingMismatch):
         P5 + rg.Ideal.principal(ZI, (2, 0))
