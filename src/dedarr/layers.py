@@ -16,6 +16,7 @@ the flats X (restriction of scalars, D = degree * ell).
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -61,26 +62,33 @@ class FlatLattice:
     for every flat X' of the same level with J(X') in J(Y) and every i in
     J(Y) - J(X'): Y lies in X' cap H_i, and both have dimension
     dim X' - 1, since every flat is the intersection of its own
-    hyperplanes.  Those pairs are registered at once, so a kernel is
-    computed only for the pair that finds a flat.
+    hyperplanes.  Those X' are the flats Y covers, kept in ``covers``, and
+    the pairs are registered at once: each flat keeps the bits of the
+    hyperplanes whose cut is known (its own J and every registered pair),
+    and the cut loop walks only the others, so every cut finds a new flat.
+    A cut is one elimination of the block [B*C_j | B] on its first
+    columns: the rows left carry the kernel of B*C_j already multiplied
+    by the basis B, whose HNF is the new flat's basis.
 
     Each flat keeps one exact numpy image B*C of its basis B under every
     column block, int64 while D*max|B|*max|C| fits and Python ints past
     it.  The zero blocks of the image give J, block j is the matrix whose
     kernel cuts the flat by hyperplane j, and ``LayerPoset.coset_counts``
-    reduces the image mod m.  Every flat carries a zero layer, so the flat
-    count is held to LAYER_BUDGET, which the layer path could never pass.
+    reduces a level's images mod m.  Every flat carries a zero layer, so
+    the flat count is held to LAYER_BUDGET, which the layer path could
+    never pass.
 
-    The layer path reaches the flats of a sub-arrangement one way only:
-    ``sub_top`` walks them from the ambient flat through ``child`` and
-    keeps, per set of columns, the Moebius value at the top and the
-    coatoms.
+    The layer path reaches the flats of a sub-arrangement through
+    ``sub_top``, which gives, per set of columns, the Moebius value at the
+    top and the coatoms.  The interval below a flat Y is the
+    sub-arrangement J(Y), so the main walk's value at Y and Y's covers
+    answer J(Y) at once; any other set of columns is walked from the
+    ambient flat through ``child``.
     """
 
     def __init__(self, arrangement):
         A = arrangement
-        deg = A.ring.degree
-        D = deg * A.ell
+        D = A.ring.degree * A.ell
         self.arrangement = A
         self.D = D
         self.colmats = [A.column_restriction(j) for j in range(A.n)]
@@ -90,7 +98,10 @@ class FlatLattice:
         self.flats = []
         self._by_key = {}
         self.child = {}  # (flat id, hyperplane j) -> flat id of intersection
+        self.covers = []  # flat id -> ids of the flats one codim up holding it
+        self._known = []  # flat id -> bits of the j whose cut is known
 
+        full = (1 << A.n) - 1
         self._add_flat(zl.identity(D), list(range(D)))
         level = [0]
         while level:
@@ -104,17 +115,11 @@ class FlatLattice:
                 flat = self.flats[fid]
                 if flat.dim == 0:
                     continue
-                base = [list(r) for r in flat.lat]
-                for j in range(A.n):
-                    if j in flat.J or (fid, j) in self.child:
-                        continue
-                    # cut the flat by hyperplane j inside the flat's own
-                    # coordinates: the saturation carries over because the
-                    # flat's basis is itself saturated
-                    block = flat.image[:, deg * j: deg * (j + 1)].tolist()
-                    small = zl.left_kernel(block)
-                    inter = zl.mat_mul(small, base) if small else []
-                    basis, pivots = zl.hnf(inter)
+                rest = full & ~self._known[fid]
+                while rest:
+                    low = rest & -rest
+                    j = low.bit_length() - 1
+                    basis, pivots = self._cut(flat, j)
                     if tuple(tuple(r) for r in basis) in self._by_key:
                         raise CertificateFailure(
                             f"flat {fid} cut by hyperplane {j} is a known "
@@ -122,20 +127,38 @@ class FlatLattice:
                     got = self._add_flat(basis, pivots)
                     new_ids.append(got)
                     self._register(by_low, self.flats[got])
+                    rest = (rest ^ low) & ~self._known[fid]
             level = new_ids
-        mob, _ = self._mobius_on((1 << A.n) - 1)
+        mob, _ = self._mobius_on(full)
         self.mobius = [mob[i] for i in range(len(self.flats))]
-        self._sub_top = {}
+        self._sub_top = {f.Jbits: (self.mobius[f.id], self.covers[f.id])
+                         for f in self.flats}
+
+    def _cut(self, flat, j):
+        """(HNF basis, pivots) of the saturated lattice of flat cap H_j.
+
+        Row operations on [B*C_j | B] that clear the block's deg columns
+        leave rows whose B-part spans (kernel of B*C_j) * B, as
+        ``zl.left_kernel`` does with an identity in B's place.  That is the
+        cut taken inside the flat's own coordinates: the saturation carries
+        over because B is itself saturated.
+        """
+        deg = self.arrangement.ring.degree
+        block = flat.image[:, deg * j: deg * (j + 1)].tolist()
+        work = [b + list(r) for b, r in zip(block, flat.lat)]
+        return zl.hnf([r[deg:] for r in zl._echelon(work, deg)[2]])
 
     def _register(self, by_low, flat):
         """Record flat as X cap H_i for every X of the level inside it.
 
-        ``by_low`` lists the level's flats by the lowest bit of their J, so
-        only those whose lowest bit is in J(flat) are tested, and those
-        with J empty (the ambient flat), which lies inside every flat.
+        Those X are the flats it covers.  ``by_low`` lists the level's
+        flats by the lowest bit of their J, so only those whose lowest bit
+        is in J(flat) are tested, and those with J empty (the ambient
+        flat), which lies inside every flat.
         """
-        child = self.child
+        child, known = self.child, self._known
         bits = flat.Jbits
+        covers = []
         lows = [0]
         rest = bits
         while rest:
@@ -146,11 +169,14 @@ class FlatLattice:
             for xid in by_low.get(low, ()):
                 x_bits = self.flats[xid].Jbits
                 if x_bits & bits == x_bits:
+                    covers.append(xid)
                     more = bits ^ x_bits
+                    known[xid] |= more
                     while more:
                         i = more & -more
                         more ^= i
                         child[(xid, i.bit_length() - 1)] = flat.id
+        self.covers[flat.id] = tuple(covers)
 
     def _add_flat(self, basis, pivots):
         A = self.arrangement
@@ -177,6 +203,8 @@ class FlatLattice:
         flat = Flat(fid, key, list(pivots), image, J, bits, dim, A.ell - dim)
         self.flats.append(flat)
         self._by_key[key] = fid
+        self.covers.append(())
+        self._known.append(bits)
         if len(self.flats) > LAYER_BUDGET:
             raise BudgetExceeded(
                 f"the intersection lattice reached {len(self.flats)} flats "
@@ -237,9 +265,10 @@ class FlatLattice:
 
         The flats of a column-subset arrangement are main-lattice flats,
         reachable through the cached intersection map, so no new linear
-        algebra happens here.  One kept walk per set of columns gives both:
-        ``LayerPoset.finders`` and ``fill_mobius`` read the sub-arrangement
-        J(L) of a layer here.
+        algebra happens here.  Every flat's own J is answered from the
+        main walk and the flat's covers; any other set of columns is
+        walked once and kept.  ``LayerPoset.finders`` and ``fill_mobius``
+        read the sub-arrangement J(L) of a layer here.
         """
         got = self._sub_top.get(col_bits)
         if got is None:
@@ -352,15 +381,20 @@ class LayerPoset:
     flats above the flat of L in the central sub-arrangement J(L) of the
     hyperplanes whose subgroups contain L, so mu(L) is the Moebius value
     at the top of the intersection lattice of J(L).  When J(L) is the
-    whole J of its flat, that is the flat's own value.  The same match
-    gives the covers: the layers one dimension up that contain L are its
-    projections to the coatoms of J(L), the parents ``finders`` yields.
+    whole J of its flat, that is the flat's own value and the coatoms are
+    the flat's covers, both kept from the main walk of ``FlatLattice``.
+    The same match gives the covers of L: the layers one dimension up that
+    contain L are its projections to the coatoms of J(L), the parents
+    ``finders`` yields.
 
     The zero layer (y = 0) of a flat is the flat's own image: its
     annihilator is the unit ideal and J(L) = J(flat), given by rule with no
     linear algebra, and it projects to the zero layer of every coarser
-    flat.  ``fill_mobius`` also sums mu per (dim, tau) into
-    ``mobius_sums``; each constituent is read off that table.
+    flat.  Equal annihilators share one ``Ideal``, so each distinct one is
+    factored once.  ``coset_counts`` gives the component counts of every
+    cut of a whole level at once.  ``fill_mobius`` also sums mu per
+    (dim, tau) into ``mobius_sums``; each constituent is read off that
+    table.
     """
 
     def __init__(self, arrangement, period, lattice):
@@ -373,6 +407,7 @@ class LayerPoset:
         self.mobius_sums = None  # (dim, tau) -> sum of mu, by fill_mobius
         self._lam = {}
         self._unit = Ideal.unit(arrangement.ring)
+        self._taus = {self._unit: self._unit}  # one Ideal per annihilator
         # a layer's y*(C mod m), y reduced mod m, is below D*m^2, and so
         # are coset_counts' minors of the image mod m
         self._C = np.array([[x % m for x in row] for row in lattice.C],
@@ -396,31 +431,36 @@ class LayerPoset:
             self._lam[flat_id] = zl.hnf(rows)
         return self._lam[flat_id]
 
-    def coset_counts(self, flat_id):
-        """Components of P cap H_j for each column j, P a layer of the flat.
+    def coset_counts(self, flat_ids):
+        """Components of P cap H_j for each flat of one level and column j.
 
-        They are the cosets of the child lattice in the solutions, one per
-        element of Z^deg / (I_j + m Z^deg), I_j the image of the flat's
-        lattice under column j: prod gcd(e, m) over the gcd diagonal e of
-        I_j, which the image mod m gives.  Every column is read off the
-        flat's one image ``Flat.image`` mod m.
+        P is a layer of the flat.  They are the cosets of the child lattice
+        in the solutions, one per element of Z^deg / (I_j + m Z^deg), I_j
+        the image of the flat's lattice under column j: prod gcd(e, m)
+        over the gcd diagonal e of I_j, which the image mod m gives.  The
+        flats of a level have images ``Flat.image`` of one shape, so the
+        whole level is one stack mod m.  Returns an array with one row of
+        counts per flat id, in the given order.
         """
         m = self.m
-        image = self.lattice.flats[flat_id].image
+        flats = self.lattice.flats
+        image = np.stack([flats[f].image for f in flat_ids])
         if image.dtype == self._C.dtype:
-            image = image % m
+            image %= m
         else:  # one side is past int64: reduce with Python ints
             image = (image.astype(object) % m).astype(self._C.dtype)
         if self.arrangement.ring.degree == 1:
-            return np.gcd(np.gcd.reduce(image, axis=0), m).tolist()
+            return np.gcd(np.gcd.reduce(image, axis=1), m)
         # per column block (a, b): d1 = gcd of the entries, d1*d2 = gcd of
-        # the 2x2 minors, whose entries stay below m^2
-        a, b = image[:, 0::2], image[:, 1::2]
-        d1 = np.gcd.reduce(np.gcd(a, b), axis=0)
-        minors = a[:, None] * b[None] - b[:, None] * a[None]
-        d12 = np.gcd.reduce(np.gcd.reduce(minors, axis=0), axis=0)
+        # the 2x2 minors of row pairs, whose entries stay below m^2; one
+        # pair at a time keeps the temporaries at one row of the stack
+        a, b = image[:, :, 0::2], image[:, :, 1::2]
+        d1 = np.gcd.reduce(np.gcd(a, b), axis=1)
+        d12 = np.zeros_like(d1)
+        for i, k in combinations(range(image.shape[1]), 2):
+            d12 = np.gcd(d12, a[:, i] * b[:, k] - b[:, i] * a[:, k])
         d2 = d12 // np.where(d1 == 0, 1, d1)
-        return (np.gcd(d1, m) * np.gcd(d2, m)).tolist()
+        return np.gcd(d1, m) * np.gcd(d2, m)
 
     def canon(self, flat_id, y):
         basis, pivots = self.lam(flat_id)
@@ -486,6 +526,7 @@ class LayerPoset:
             tau = self.tau(flat_id, y)
             if not tau.contains_ideal(self.period):
                 return None  # not period-torsion: outside this poset
+            tau = self._taus.setdefault(tau, tau)
             # the hyperplanes j of the flat with y*C_j = 0 mod m
             A = self.arrangement
             yc = np.array(y, dtype=self._C.dtype) @ self._C % m
@@ -619,26 +660,36 @@ def layer_poset(A, period=None):
     (X, j) finds the layer L from P = project(L, X) exactly when j is in
     J(L) and J(L) cap J(X) spans X (``LayerPoset.finders``), so each new
     layer is recorded at those (X, P) under the bits J(L) - J(X); the X
-    are the coatoms of the sub-arrangement J(L).  For
-    one (X, j), every P cap H_j has the same number of components, read
-    off the image of X under column j; a parent layer with that many
-    layers recorded for j can find nothing new and is not solved, one with
-    more fails the certificate.  A zero parent of a one-component cut is
-    not solved either: its only component is the child's zero layer, taken
-    in place so the discovery order stays.  The refinement is built only
-    when a nonzero parent or a many-component cut is left.  Zero layers
-    get tau = <1> and J = J(flat) by rule, and the constituents are read
-    off one table of mu summed per (dim, tau), built by ``fill_mobius``.
+    are the coatoms of the sub-arrangement J(L).  For one (X, j), every
+    P cap H_j has the same number of components, read off the image of X
+    under column j; the whole level's counts come from one
+    ``LayerPoset.coset_counts`` call.  Each parent layer keeps the bits of
+    the j whose components are not all recorded yet: recording clears
+    bit j when the count for j reaches the coset count (at once, for a
+    one-component cut) and fails the certificate when it passes it.  A
+    flat's parents are solved only for their pending bits, in ascending
+    j; a parent with j cleared can find nothing new.  A zero parent of a
+    one-component cut is not solved either: its only component is the
+    child's zero layer, taken in place so the discovery order stays.  The
+    refinement is built only when a nonzero parent or a many-component cut
+    is left.  Zero layers get tau = <1> and J = J(flat) by rule, and the
+    constituents are read off one table of mu summed per (dim, tau), built
+    by ``fill_mobius``.
     """
     from .charquasi import lcm_period
     if period is None:
         period = lcm_period(A)
     period.factor()  # an unfactorable period fails before any flat
     lattice = FlatLattice(A)
-    D = lattice.D
+    flats = lattice.flats
     poset = LayerPoset(A, period, lattice)
-    # parent index -> (for each j, how many recorded layers (its flat, j)
-    # finds from it; the recorded (bits of j, layer) pairs)
+    full = (1 << A.n) - 1
+    # flat id of the level refined -> (bits of the j whose cut has one
+    # component, coset count per j)
+    cosets = {}
+    # parent index -> [bits of the j still pending, how many recorded
+    # layers (its flat, j) finds from it per j, the recorded (bits of j,
+    # layer) pairs], for the parents of the level refined
     found = {}
 
     def add_layer(flat_id, y):
@@ -648,73 +699,94 @@ def layer_poset(A, period=None):
                 if parent is None:
                     raise CertificateFailure(
                         f"a projection of layer {z.index} is no layer")
-                counts, recorded = found.setdefault(parent.index,
-                                                    ([0] * A.n, []))
-                recorded.append((rest, z))
-                while rest:
+                entry = found[parent.index]
+                entry[2].append((rest, z))
+                ones, cut = cosets[parent.flat_id]
+                # a one-component cut is done at its first record, so a
+                # second one is over the count
+                over = rest & ones & ~entry[0]
+                entry[0] &= ~(rest & ones)
+                rest &= ~ones
+                counts = entry[1]
+                while rest and not over:
                     low = rest & -rest
                     rest ^= low
-                    counts[low.bit_length() - 1] += 1
+                    j = low.bit_length() - 1
+                    counts[j] += 1
+                    if counts[j] == cut[j]:
+                        entry[0] &= ~low
+                    elif counts[j] > cut[j]:
+                        over = low
+                if over:
+                    j = (over & -over).bit_length() - 1
+                    raise CertificateFailure(
+                        f"more layers are recorded as found by flat "
+                        f"{parent.flat_id} and hyperplane {j} from layer "
+                        f"{parent.index} than the {cut[j]} it cuts")
         return z
 
-    zero = (0,) * D
+    zero = (0,) * lattice.D
     add_layer(0, zero)
     by_flat = {0: [zero]}
     for codim in range(A.ell):
+        level = sorted(by_flat)
+        if not level:
+            break
         # layers are recorded only at parents of the level being refined
-        found.clear()
-        level_flats = [f for f in lattice.flats if f.codim == codim]
+        found = {}
+        for fid in level:
+            pending = full & ~flats[fid].Jbits
+            for y in by_flat[fid]:
+                found[poset.index[(fid, y)]] = [pending, [0] * A.n, []]
+        level_counts = poset.coset_counts(level)
+        ones = np.packbits(level_counts == 1, axis=1, bitorder="little")
+        cosets = {fid: (int.from_bytes(bits.tobytes(), "little"), cut)
+                  for fid, bits, cut in zip(level, ones,
+                                            level_counts.tolist())}
         next_by_flat = {}
-        for flat in level_flats:
-            ys = by_flat.get(flat.id)
-            if not ys:
-                continue
-            counts_j = poset.coset_counts(flat.id)
-            parents = [poset.index[(flat.id, y)] for y in ys]
-            for j in range(A.n):
-                if j in flat.J:
-                    continue
+        for fid in level:
+            ys = by_flat[fid]
+            entries = [found[poset.index[(fid, y)]] for y in ys]
+            todo_bits = 0
+            for entry in entries:
+                todo_bits |= entry[0]
+            while todo_bits:
+                low = todo_bits & -todo_bits
+                todo_bits ^= low
+                j = low.bit_length() - 1
                 # P cap H_j has one component per coset, the same number
                 # for every parent layer P
-                cosets = counts_j[j]
-                todo = []
-                for y, parent in zip(ys, parents):
-                    counts, recorded = found.get(parent, (None, ()))
-                    if counts is None or counts[j] < cosets:
-                        todo.append((y, recorded))
-                    elif counts[j] > cosets:
-                        raise CertificateFailure(
-                            f"{counts[j]} layers are recorded as found by "
-                            f"flat {flat.id} and hyperplane {j} from layer "
-                            f"{parent}, which cut only {cosets}")
+                todo = [(y, entry[2]) for y, entry in zip(ys, entries)
+                        if entry[0] & low]
                 if not todo:
                     continue
-                if cosets > LAYER_BUDGET:
+                count = cosets[fid][1][j]
+                if count > LAYER_BUDGET:
                     # checked before the refinement lists its cosets
                     raise ExponentTooLarge(
-                        f"flat {flat.id} and hyperplane {j} cut "
-                        f"{format_int(cosets)} layers, over the budget of "
+                        f"flat {fid} and hyperplane {j} cut "
+                        f"{format_int(count)} layers, over the budget of "
                         f"{LAYER_BUDGET}")
-                child = lattice.child[(flat.id, j)]
+                child = lattice.child[(fid, j)]
                 refine = None
                 for y, recorded in todo:
-                    if cosets == 1 and not any(y):
+                    if count == 1 and not any(y):
                         outs = [y]  # the zero layer of the child
                     else:
                         if refine is None:
-                            lam_basis, _ = poset.lam(flat.id)
+                            lam_basis, _ = poset.lam(fid)
                             lam_child, pivots_child = poset.lam(child)
                             colmat = lattice.colmats[j]
                             refine = _Refinement(
                                 lam_basis, lam_child, pivots_child, colmat,
-                                poset.m, cosets)
+                                poset.m, count)
                         outs = refine.solve(y)
                     for bits, z in recorded:
-                        if bits >> j & 1 and (z.flat_id != child
-                                              or z.y not in outs):
+                        if bits & low and (z.flat_id != child
+                                           or z.y not in outs):
                             raise CertificateFailure(
                                 f"layer {z.index} is recorded as found by "
-                                f"flat {flat.id} and hyperplane {j}, but "
+                                f"flat {fid} and hyperplane {j}, but "
                                 "is not among the components they cut")
                     for y_new in outs:
                         if add_layer(child, y_new) is not None:
@@ -722,4 +794,3 @@ def layer_poset(A, period=None):
         by_flat = next_by_flat
     poset.fill_mobius()
     return poset
-

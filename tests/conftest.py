@@ -84,7 +84,8 @@ def determinant_coset_count(P, flat_id, j):
     They are the cosets of the child lattice in the homogeneous solutions,
     det(Lambda_child) / (det(Lambda_X) * steps), with steps read off the
     gcd diagonal of M = lam_basis * colmat_j.  ``LayerPoset.coset_counts``
-    reads every j's count off one image per flat; this is its reference.
+    reads every j's count off one stack of images per level; this is its
+    reference.
     """
     D, m = P.lattice.D, P.m
     lam_basis, _ = P.lam(flat_id)

@@ -67,6 +67,11 @@ def check_children(A):
             assert got.J >= flat.J | {j}
             pairs += 1
     assert len(lat.child) == pairs
+    # a flat covers the flats one codim up whose J lies in its own
+    for flat in lat.flats:
+        assert sorted(lat.covers[flat.id]) == [
+            x.id for x in lat.flats if x.codim == flat.codim - 1
+            and x.Jbits & flat.Jbits == x.Jbits], flat
     # J is exactly the set of hyperplanes whose column the flat kills
     for flat in lat.flats:
         J = {j for j in range(A.n)
@@ -91,6 +96,31 @@ def test_children_are_direct_intersections():
         for _ in range(10):
             check_children(rand_small_arrangement(rng, ring, ell_max=4,
                                                   n_max=6, bound=2))
+
+
+def test_every_cut_finds_a_new_flat(monkeypatch):
+    # a cut registers every pair that reaches its flat, and registered
+    # pairs are never cut, so the lattice makes one cut per flat but the
+    # ambient one
+    cuts = []
+    cut = ly.FlatLattice._cut
+
+    def spy(self, flat, j):
+        cuts.append((flat.id, j))
+        return cut(self, flat, j)
+
+    monkeypatch.setattr(ly.FlatLattice, "_cut", spy)
+    h4 = rootsys.builtin("H4").arrangement
+    cases = [rootsys.builtin("H3").arrangement,
+             cq.Arrangement(h4.ring, h4.columns[:24])]
+    rng = random.Random(67)
+    cases += [rand_small_arrangement(rng, ring, ell_max=4, n_max=6, bound=2)
+              for ring in (Z, ZI, Z5, ZT) for _ in range(5)]
+    for A in cases:
+        cuts.clear()
+        lat = ly.FlatLattice(A)
+        assert len(cuts) == len(lat.flats) - 1, A.columns
+        assert len(set(cuts)) == len(cuts)
 
 
 def small_period_arrangements(rng, per_ring):
@@ -195,6 +225,9 @@ def test_layer_tau_and_J_match_linear_algebra(gaussian_arrangement,
             assert (z.tau, z.J) == annihilator_and_J(P, z), (A.columns, z)
             assert z.Jbits == sum(1 << j for j in z.J)
             zero += not any(z.y)
+        # one Ideal per distinct annihilator, so each is factored once
+        assert (len({id(z.tau) for z in P.layers})
+                == len({z.tau for z in P.layers}))
     assert zero >= 450
 
 
@@ -227,6 +260,10 @@ def test_layer_digests_match_recorded_hashes():
          "dda20a24fb181e780d36f01e8cdb6e2b23b4913a672caa25fb50cba20ecb774c"),
         (cq.Arrangement(h4.ring, h4.columns[:24]), 382,
          "f2400e3c31be0dfea21d93af095cb31fda2c2b42b3f9d9a50918df85b3ef7623"),
+        # 7 of its 552 flats carry more than the zero layer, so parents
+        # of one flat share the level loop's pending bits
+        (cq.Arrangement(h4.ring, h4.columns[:30]), 847,
+         "c6e3c82c75b0c650e09b437ad3d5f095a98f4993eb2f29855c8a503aeb38f0b1"),
     ]
     for A, count, expected in cases:
         rows = [(i, f, y, tuple(sorted(J)), tau, mu)
@@ -281,6 +318,12 @@ def test_refinements_built_only_where_needed(gaussian_arrangement,
     built.clear()
     ly.layer_poset(rootsys.builtin("H3").arrangement)
     assert len(built) == 5
+    # a parent whose components for j are all recorded is not solved:
+    # H4[:30] solves 157 parents, 538 if every parent of a cut were
+    built.clear()
+    h4 = rootsys.builtin("H4").arrangement
+    ly.layer_poset(cq.Arrangement(h4.ring, h4.columns[:30]))
+    assert sum(len(r.solved) for r in built) == 157
 
 
 def test_constituents_from_the_table_match_layer_sums(
@@ -297,21 +340,26 @@ def test_constituents_from_the_table_match_layer_sums(
 
 
 def check_coset_counts(A, kappa, lattice):
+    # one coset_counts call per level, as layer_poset makes them
     P = ly.LayerPoset(A, kappa, lattice)
-    for flat in lattice.flats:
-        if flat.dim == 0:
+    for codim in range(A.ell):
+        level = [f.id for f in lattice.flats if f.codim == codim]
+        if not level:
             continue
-        counts = P.coset_counts(flat.id)
-        for j in range(A.n):
-            if j not in flat.J:
-                assert counts[j] == determinant_coset_count(P, flat.id, j), \
-                    (A.columns, kappa, flat.id, j)
+        got = P.coset_counts(level)
+        assert len(got) == len(level)
+        for fid, counts in zip(level, got):
+            for j in range(A.n):
+                if j not in lattice.flats[fid].J:
+                    assert counts[j] == determinant_coset_count(P, fid, j), \
+                        (A.columns, kappa, fid, j)
     return P
 
 
 def test_coset_counts_match_determinants():
-    # the count of every (flat, j), read off one image per flat, against
-    # the determinant formula, at every divisor of the period
+    # the count of every (flat, j), read off one stack of images per
+    # level, against the determinant formula, at every divisor of the
+    # period
     h4 = rootsys.builtin("H4").arrangement
     cases = [rootsys.builtin("H3").arrangement,
              cq.Arrangement(h4.ring, h4.columns[:24])]
@@ -422,6 +470,25 @@ def test_overcounted_registration_is_caught(monkeypatch):
     for B in (A, rootsys.builtin("H3").arrangement):
         with pytest.raises(CertificateFailure):
             ly.layer_poset(B)
+
+
+def test_overcounted_one_component_cut_is_caught(monkeypatch):
+    # at period <1> every cut has one component, which is done at its
+    # first record; recording a layer twice at one parent must fail there,
+    # with no many-component cut left to notice it
+    from dedarr.errors import CertificateFailure
+    right = ly.LayerPoset.finders
+
+    def twice(self, z):
+        found = list(right(self, z))
+        return found + found[:1]
+
+    A = cq.Arrangement(Z, [[(1,), (0,)], [(0,), (1,)], [(1,), (1,)]])
+    assert cq.lcm_period(A).is_unit_ideal()
+    assert len(ly.layer_poset(A).layers) == 5
+    monkeypatch.setattr(ly.LayerPoset, "finders", twice)
+    with pytest.raises(CertificateFailure, match="than the 1 it cuts"):
+        ly.layer_poset(A)
 
 
 def test_unregistered_known_flat_is_caught(monkeypatch):
@@ -563,13 +630,23 @@ def test_sub_top_mobius_of_all_columns_is_bottom_flat():
         bottom = lat.flats[-1]
         assert bottom.codim == max(f.codim for f in lat.flats)
         mu, coatoms = lat.sub_top((1 << A.n) - 1)
-        assert mu == lat.mobius[bottom.id]
         # the bottom flat covers every flat one codim above it
         assert sorted(coatoms) == [f.id for f in lat.flats
                                    if f.codim == bottom.codim - 1]
-        # and on each flat's own columns, that flat's value
-        for flat in lat.flats[1:]:
-            assert lat.sub_top(flat.Jbits)[0] == lat.mobius[flat.id]
+        # mu(Y) = -sum of mu over the flats above Y, by the definition
+        mob = {}
+        for flat in lat.flats:
+            mob[flat.id] = -sum(mob[g.id] for g in flats_above(lat, flat)) \
+                if flat.id else 1
+        assert mu == mob[bottom.id]
+        # each flat's own columns are answered from the main walk and its
+        # covers; a fresh walk of those columns must agree
+        for flat in lat.flats:
+            walked, top_coatoms = lat._mobius_on(flat.Jbits)
+            assert max(walked) == flat.id
+            mu, coatoms = lat.sub_top(flat.Jbits)
+            assert mu == walked[flat.id] == mob[flat.id]
+            assert sorted(coatoms) == sorted(top_coatoms)
 
 
 def test_mobius_sign_alternation():

@@ -223,3 +223,51 @@ def test_poly_to_str():
     assert qp.poly_to_str((0, -1, 1)) == "t^2 - t"
     assert qp.poly_to_str((0,)) == "0"
     assert qp.poly_to_str((-45, 59, -15, 1)) == "t^3 - 15*t^2 + 59*t - 45"
+
+
+def test_constituent_keys_must_be_the_divisors():
+    # the divisor order is read off the keys; distinct keys that contain
+    # the period and number prod (e_p + 1) are exactly its divisors
+    good = {UNIT5: (0, -1, 1), P5: (0, -2, 1), Q5: (0, -3, 1),
+            PQ: (0, -4, 1)}
+    q = qp.QuasiPolynomial(Z5, PQ, dict(reversed(list(good.items()))))
+    assert q.divisors() == PQ.divisors()
+    assert list(q.constituents) == PQ.divisors()
+    assert q == nonprincipal_example_qp()
+    # the conjugate of Q5 does not divide PQ
+    R5 = rg.Ideal.from_generators(Z5, [(3, 0), (1, -1)])
+    less = {k: v for k, v in good.items() if k != Q5}
+    bad = [less, {**less, R5: (0, -3, 1)}, {**good, R5: (0, -3, 1)},
+           {**less, rg.Ideal.unit(ZI): (0, -3, 1)},
+           {**less, "Q5": (0, -3, 1)}]
+    for consts in bad:
+        with pytest.raises(ValueError, match="period divisors"):
+            qp.QuasiPolynomial(Z5, PQ, consts)
+
+
+def test_constituents_build_the_divisors_once(monkeypatch):
+    # each route lists the period's divisors once, and QuasiPolynomial
+    # takes them from its keys
+    calls = []
+    divisors = rg.Ideal.divisors
+
+    def spy(self):
+        calls.append(self)
+        return divisors(self)
+
+    monkeypatch.setattr(rg.Ideal, "divisors", spy)
+    cases = [
+        cq.Arrangement(ZI, [[(1, 0), (1, 0)], [(1, 0), (-1, 0)],
+                            [(1, 0), (0, 1)], [(1, 0), (0, -1)]]),
+        cq.Arrangement(Z5, [[(2, 0), (1, -1)], [(1, 1), (3, 0)]]),
+        cq.Arrangement(Z, [[(1,), (0,)], [(0,), (3,)], [(1,), (1,)],
+                           [(2,), (-1,)]]),
+    ]
+    for A in cases:
+        got = []
+        for path in ("subset", "layers"):
+            calls.clear()
+            got.append(cq.constituents(A, path=path))
+            assert len(calls) == 1, (A.columns, path)
+        assert got[0] == got[1]
+        assert got[0].divisors() == divisors(got[0].period)
