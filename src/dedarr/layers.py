@@ -63,12 +63,10 @@ class FlatLattice:
     J(Y) - J(X'): Y lies in X' cap H_i, and both have dimension
     dim X' - 1, since every flat is the intersection of its own
     hyperplanes.  Those X' are the flats Y covers, kept in ``covers``, and
-    the pairs are registered at once: each flat keeps the bits of the
-    hyperplanes whose cut is known (its own J and every registered pair),
-    and the cut loop walks only the others, so every cut finds a new flat.
-    A cut is one elimination of the block [B*C_j | B] on its first
-    columns: the rows left carry the kernel of B*C_j already multiplied
-    by the basis B, whose HNF is the new flat's basis.
+    the pairs are registered at once, so a cut is made only for the pair
+    that finds a flat.  A cut is one elimination of the block [B*C_j | B]
+    on its first columns: the rows left carry the kernel of B*C_j already
+    multiplied by the basis B, whose HNF is the new flat's basis.
 
     Each flat keeps one exact numpy image B*C of its basis B under every
     column block, int64 while D*max|B|*max|C| fits and Python ints past
@@ -99,9 +97,7 @@ class FlatLattice:
         self._by_key = {}
         self.child = {}  # (flat id, hyperplane j) -> flat id of intersection
         self.covers = []  # flat id -> ids of the flats one codim up holding it
-        self._known = []  # flat id -> bits of the j whose cut is known
 
-        full = (1 << A.n) - 1
         self._add_flat(zl.identity(D), list(range(D)))
         level = [0]
         while level:
@@ -115,10 +111,9 @@ class FlatLattice:
                 flat = self.flats[fid]
                 if flat.dim == 0:
                     continue
-                rest = full & ~self._known[fid]
-                while rest:
-                    low = rest & -rest
-                    j = low.bit_length() - 1
+                for j in range(A.n):
+                    if j in flat.J or (fid, j) in self.child:
+                        continue
                     basis, pivots = self._cut(flat, j)
                     if tuple(tuple(r) for r in basis) in self._by_key:
                         raise CertificateFailure(
@@ -127,9 +122,8 @@ class FlatLattice:
                     got = self._add_flat(basis, pivots)
                     new_ids.append(got)
                     self._register(by_low, self.flats[got])
-                    rest = (rest ^ low) & ~self._known[fid]
             level = new_ids
-        mob, _ = self._mobius_on(full)
+        mob, _ = self._mobius_on((1 << A.n) - 1)
         self.mobius = [mob[i] for i in range(len(self.flats))]
         self._sub_top = {f.Jbits: (self.mobius[f.id], self.covers[f.id])
                          for f in self.flats}
@@ -156,7 +150,7 @@ class FlatLattice:
         is in J(flat) are tested, and those with J empty (the ambient
         flat), which lies inside every flat.
         """
-        child, known = self.child, self._known
+        child = self.child
         bits = flat.Jbits
         covers = []
         lows = [0]
@@ -171,7 +165,6 @@ class FlatLattice:
                 if x_bits & bits == x_bits:
                     covers.append(xid)
                     more = bits ^ x_bits
-                    known[xid] |= more
                     while more:
                         i = more & -more
                         more ^= i
@@ -204,7 +197,6 @@ class FlatLattice:
         self.flats.append(flat)
         self._by_key[key] = fid
         self.covers.append(())
-        self._known.append(bits)
         if len(self.flats) > LAYER_BUDGET:
             raise BudgetExceeded(
                 f"the intersection lattice reached {len(self.flats)} flats "
@@ -684,8 +676,7 @@ def layer_poset(A, period=None):
     flats = lattice.flats
     poset = LayerPoset(A, period, lattice)
     full = (1 << A.n) - 1
-    # flat id of the level refined -> (bits of the j whose cut has one
-    # component, coset count per j)
+    # flat id of the level refined -> coset count per j
     cosets = {}
     # parent index -> [bits of the j still pending, how many recorded
     # layers (its flat, j) finds from it per j, the recorded (bits of j,
@@ -701,14 +692,9 @@ def layer_poset(A, period=None):
                         f"a projection of layer {z.index} is no layer")
                 entry = found[parent.index]
                 entry[2].append((rest, z))
-                ones, cut = cosets[parent.flat_id]
-                # a one-component cut is done at its first record, so a
-                # second one is over the count
-                over = rest & ones & ~entry[0]
-                entry[0] &= ~(rest & ones)
-                rest &= ~ones
+                cut = cosets[parent.flat_id]
                 counts = entry[1]
-                while rest and not over:
+                while rest:
                     low = rest & -rest
                     rest ^= low
                     j = low.bit_length() - 1
@@ -716,13 +702,10 @@ def layer_poset(A, period=None):
                     if counts[j] == cut[j]:
                         entry[0] &= ~low
                     elif counts[j] > cut[j]:
-                        over = low
-                if over:
-                    j = (over & -over).bit_length() - 1
-                    raise CertificateFailure(
-                        f"more layers are recorded as found by flat "
-                        f"{parent.flat_id} and hyperplane {j} from layer "
-                        f"{parent.index} than the {cut[j]} it cuts")
+                        raise CertificateFailure(
+                            f"more layers are recorded as found by flat "
+                            f"{parent.flat_id} and hyperplane {j} from layer "
+                            f"{parent.index} than the {cut[j]} it cuts")
         return z
 
     zero = (0,) * lattice.D
@@ -738,11 +721,7 @@ def layer_poset(A, period=None):
             pending = full & ~flats[fid].Jbits
             for y in by_flat[fid]:
                 found[poset.index[(fid, y)]] = [pending, [0] * A.n, []]
-        level_counts = poset.coset_counts(level)
-        ones = np.packbits(level_counts == 1, axis=1, bitorder="little")
-        cosets = {fid: (int.from_bytes(bits.tobytes(), "little"), cut)
-                  for fid, bits, cut in zip(level, ones,
-                                            level_counts.tolist())}
+        cosets = dict(zip(level, poset.coset_counts(level).tolist()))
         next_by_flat = {}
         for fid in level:
             ys = by_flat[fid]
@@ -760,7 +739,7 @@ def layer_poset(A, period=None):
                         if entry[0] & low]
                 if not todo:
                     continue
-                count = cosets[fid][1][j]
+                count = cosets[fid][j]
                 if count > LAYER_BUDGET:
                     # checked before the refinement lists its cosets
                     raise ExponentTooLarge(

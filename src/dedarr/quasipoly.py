@@ -55,17 +55,9 @@ class QuasiPolynomial:
     def __init__(self, ring, period, constituents):
         self.ring = ring
         self.period = period
-        # the ideals containing rho are its divisors, prod (e_p + 1) of them
-        # by its factorization, so distinct keys that all contain rho and
-        # number that many are exactly the divisors
-        count = 1
-        for _, e in period.factor():
-            count *= e + 1
-        if len(constituents) != count or not all(
-                isinstance(k, Ideal) and k.ring == period.ring
-                and k.contains_ideal(period) for k in constituents):
+        divisors = period.divisors()
+        if set(constituents) != set(divisors):
             raise ValueError("constituents must cover the period divisors")
-        divisors = sorted(constituents, key=Ideal.sort_key)
         self.constituents = {k: tuple(constituents[k]) for k in divisors}
         self._divisors = divisors
 

@@ -472,25 +472,6 @@ def test_overcounted_registration_is_caught(monkeypatch):
             ly.layer_poset(B)
 
 
-def test_overcounted_one_component_cut_is_caught(monkeypatch):
-    # at period <1> every cut has one component, which is done at its
-    # first record; recording a layer twice at one parent must fail there,
-    # with no many-component cut left to notice it
-    from dedarr.errors import CertificateFailure
-    right = ly.LayerPoset.finders
-
-    def twice(self, z):
-        found = list(right(self, z))
-        return found + found[:1]
-
-    A = cq.Arrangement(Z, [[(1,), (0,)], [(0,), (1,)], [(1,), (1,)]])
-    assert cq.lcm_period(A).is_unit_ideal()
-    assert len(ly.layer_poset(A).layers) == 5
-    monkeypatch.setattr(ly.LayerPoset, "finders", twice)
-    with pytest.raises(CertificateFailure, match="than the 1 it cuts"):
-        ly.layer_poset(A)
-
-
 def test_unregistered_known_flat_is_caught(monkeypatch):
     # without the J-bit registration, a second cut reaching a known flat
     # would be computed; the lattice must refuse it, not merge it
