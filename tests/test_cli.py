@@ -388,3 +388,43 @@ def test_large_quadratic_d(tmp_path):
                                 "columns": cols}))
     rc, text = run(["period", str(path)])
     assert rc == 3 and text == ""
+
+
+# sha256 of stdout, recorded before the layer path's cover relation was
+# stored once (children in place of the (flat, hyperplane) -> flat map)
+LAYER_PATH_STDOUT = {
+    ("H3", "layers"):
+        "c15fa26ca39cf0eb1d850f35119fa96fb0610ca3dd39672b11e796c66659728c",
+    ("H3", "layers --dot -"):
+        "7ee037db033286d639b23ad66792d09d105193c8939e5d00dd569b5683f66517",
+    ("H3", "constituents --path layers"):
+        "a36aa70e2c092a7b4bb62351e569d993c99f00271fcdd64f225eec0fa35cbfa9",
+    ("H3", "minimality"):
+        "341bda4fef3beaa483ad55791aa8fb1cf5e0d6f7ad7926a3c13544cefd50e87a",
+    ("nonprincipal", "layers"):
+        "f83c3e1f72c9f284aa2746b0393fb2b7dc878eb3d167b62040985620bb962066",
+    ("nonprincipal", "layers --dot -"):
+        "39e92131ff177173ee0fde8478c52cd4e04f72fd9ca4f08fecedbd3f88521447",
+    ("nonprincipal", "constituents --path layers"):
+        "1677949ea0f8afbe29e97715f2a896d1607fd12b8fec3a3bc5bf54bed963daa1",
+    ("nonprincipal", "minimality"):
+        "89c6dba4a8bd0238dbc4efac450589e4e0da97f5e030d29fb78fe725450a73bc",
+}
+
+
+def test_layer_path_stdout_matches_recorded_hashes(tmp_path,
+                                                   nonprincipal_file):
+    import hashlib
+    from dedarr.rootsys import builtin
+    h3 = tmp_path / "h3.json"
+    h3.write_text(json.dumps({
+        "ring": {"type": "quadratic", "d": 5},
+        "columns": [[list(x) for x in c]
+                    for c in builtin("H3").arrangement.columns]}))
+    files = {"H3": str(h3), "nonprincipal": nonprincipal_file}
+    for (name, command), digest in LAYER_PATH_STDOUT.items():
+        words = command.split()
+        rc, text = run(words[:1] + [files[name]] + words[1:])
+        assert rc == 0, (name, command)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, \
+            (name, command)
