@@ -100,8 +100,15 @@ def cmd_layers(args, out):
         kappa = _parse_ideal(A.ring, args.kappa)
     chosen = (P.kappa_subposet(kappa) if kappa is not None
               else range(len(P.layers)))
-    # the diagram may exceed its budget: fail before printing anything
-    text = P.hasse_dot(kappa) if args.dot else None
+    # the diagram may exceed its budget, or its file be unwritable: fail
+    # before printing anything
+    text = P.hasse_dot(kappa) if args.dot is not None else None
+    if args.dot not in (None, "-"):
+        try:
+            with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dot}: {exc}") from None
     by_dim = {}
     for i in chosen:
         z = P.layers[i]
@@ -114,12 +121,8 @@ def cmd_layers(args, out):
         z = P.layers[i]
         out.write(f"  {P.representative_string(z)} | "
                   f"{format_factored(z.tau)} | mu={z.mu} | dim={z.dim}\n")
-    if args.dot:
-        if args.dot == "-":
-            out.write(text)
-        else:
-            with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+    if args.dot == "-":
+        out.write(text)
     return EXIT_OK
 
 

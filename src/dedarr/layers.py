@@ -37,21 +37,25 @@ HASSE_BUDGET = 10 ** 6  # the square of the most layers a Hasse diagram draws
 class Flat:
     """An intersection subspace of the hyperplane arrangement."""
 
-    __slots__ = ("id", "lat", "pivots", "image", "J", "Jbits", "dim",
-                 "codim")
+    __slots__ = ("id", "lat", "pivots", "image", "Jbits", "dim", "codim")
 
-    def __init__(self, fid, lat, pivots, image, J, Jbits, dim, codim):
+    def __init__(self, fid, lat, pivots, image, Jbits, dim, codim):
         self.id = fid
         self.lat = lat          # saturated lattice H_X int Z^D, HNF rows
         self.pivots = pivots
         self.image = image      # lat * C, exact numpy array
-        self.J = J              # frozenset of hyperplane indices containing X
-        self.Jbits = Jbits
+        self.Jbits = Jbits      # bit j set for each hyperplane containing X
         self.dim = dim          # dimension over the fraction field
         self.codim = codim
 
     def __repr__(self):
-        return f"Flat(id={self.id}, dim={self.dim}, J={sorted(self.J)})"
+        return f"Flat(id={self.id}, dim={self.dim}, Jbits={self.Jbits:#b})"
+
+
+def _mask_bits(mask):
+    """The int whose bit j is set where the boolean array mask is."""
+    return int.from_bytes(
+        np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 class FlatLattice:
@@ -63,10 +67,12 @@ class FlatLattice:
     J(Y) - J(X'): Y lies in X' cap H_i, and both have dimension
     dim X' - 1, since every flat is the intersection of its own
     hyperplanes.  Those X' are the flats Y covers, kept in ``covers``, and
-    the pairs are registered at once, so a cut is made only for the pair
-    that finds a flat.  A cut is one elimination of the block [B*C_j | B]
-    on its first columns: the rows left carry the kernel of B*C_j already
-    multiplied by the basis B, whose HNF is the new flat's basis.
+    Y joins the ``children`` of each at once, the inverse relation.  The j
+    whose cut of X is known are then J(X) and the J of X's children, so a
+    cut is made only for the pair that finds a flat.  A cut is one
+    elimination of the block [B*C_j | B] on its first columns: the rows
+    left carry the kernel of B*C_j already multiplied by the basis B,
+    whose HNF is the new flat's basis.
 
     Each flat keeps one exact numpy image B*C of its basis B under every
     column block, int64 while D*max|B|*max|C| fits and Python ints past
@@ -81,7 +87,7 @@ class FlatLattice:
     top and the coatoms.  The interval below a flat Y is the
     sub-arrangement J(Y), so the main walk's value at Y and Y's covers
     answer J(Y) at once; any other set of columns is walked from the
-    ambient flat through ``child``.
+    ambient flat through ``children``.
     """
 
     def __init__(self, arrangement):
@@ -95,8 +101,8 @@ class FlatLattice:
         self._arrays = {}  # numpy dtype -> C as an array of that dtype
         self.flats = []
         self._by_key = {}
-        self.child = {}  # (flat id, hyperplane j) -> flat id of intersection
         self.covers = []  # flat id -> ids of the flats one codim up holding it
+        self.children = []  # flat id -> ids of the flats one codim down in it
 
         self._add_flat(zl.identity(D), list(range(D)))
         level = [0]
@@ -111,8 +117,13 @@ class FlatLattice:
                 flat = self.flats[fid]
                 if flat.dim == 0:
                     continue
+                # the j whose cut is known: each j in J(Y) - J(X) cuts X
+                # to its child Y
+                known = flat.Jbits
+                for yid in self.children[fid]:
+                    known |= self.flats[yid].Jbits
                 for j in range(A.n):
-                    if j in flat.J or (fid, j) in self.child:
+                    if known >> j & 1:
                         continue
                     basis, pivots = self._cut(flat, j)
                     if tuple(tuple(r) for r in basis) in self._by_key:
@@ -122,6 +133,7 @@ class FlatLattice:
                     got = self._add_flat(basis, pivots)
                     new_ids.append(got)
                     self._register(by_low, self.flats[got])
+                    known |= self.flats[got].Jbits
             level = new_ids
         mob, _ = self._mobius_on((1 << A.n) - 1)
         self.mobius = [mob[i] for i in range(len(self.flats))]
@@ -143,14 +155,14 @@ class FlatLattice:
         return zl.hnf([r[deg:] for r in zl._echelon(work, deg)[2]])
 
     def _register(self, by_low, flat):
-        """Record flat as X cap H_i for every X of the level inside it.
+        """Record flat among the children of every X of the level it lies in.
 
-        Those X are the flats it covers.  ``by_low`` lists the level's
-        flats by the lowest bit of their J, so only those whose lowest bit
-        is in J(flat) are tested, and those with J empty (the ambient
-        flat), which lies inside every flat.
+        Those X are the flats it covers, and flat is X cap H_i for each i
+        in J(flat) - J(X).  ``by_low`` lists the level's flats by the
+        lowest bit of their J, so only those whose lowest bit is in J(flat)
+        are tested, and those with J empty (the ambient flat), which every
+        flat lies in.
         """
-        child = self.child
         bits = flat.Jbits
         covers = []
         lows = [0]
@@ -164,11 +176,7 @@ class FlatLattice:
                 x_bits = self.flats[xid].Jbits
                 if x_bits & bits == x_bits:
                     covers.append(xid)
-                    more = bits ^ x_bits
-                    while more:
-                        i = more & -more
-                        more ^= i
-                        child[(xid, i.bit_length() - 1)] = flat.id
+                    self.children[xid].append(flat.id)
         self.covers[flat.id] = tuple(covers)
 
     def _add_flat(self, basis, pivots):
@@ -187,16 +195,14 @@ class FlatLattice:
         image = np.array(basis, dtype=dtype).reshape(len(basis), self.D) @ C
         # j is in J when the image's block for column j vanishes
         nonzero = (image != 0).reshape(len(basis), A.n, deg).any(axis=(0, 2))
-        J = frozenset(np.flatnonzero(~nonzero).tolist())
-        bits = 0
-        for j in J:
-            bits |= 1 << j
         dim = len(basis) // deg
         fid = len(self.flats)
-        flat = Flat(fid, key, list(pivots), image, J, bits, dim, A.ell - dim)
+        flat = Flat(fid, key, list(pivots), image, _mask_bits(~nonzero), dim,
+                    A.ell - dim)
         self.flats.append(flat)
         self._by_key[key] = fid
         self.covers.append(())
+        self.children.append([])
         if len(self.flats) > LAYER_BUDGET:
             raise BudgetExceeded(
                 f"the intersection lattice reached {len(self.flats)} flats "
@@ -207,15 +213,15 @@ class FlatLattice:
     def _mobius_on(self, col_bits):
         """Moebius values on the flats of the sub-arrangement on col_bits.
 
-        Its flats are the flats reached from the ambient one through
-        child[(X, j)] with j in col_bits, and its covers are those steps.
-        Each level is reached from the one before, so the flats above a
-        flat (its covers and the flats above those, kept as bits of flat
-        ids) are complete before its value is summed.  The last level is
-        the top alone, and the level before it holds the coatoms.  Returns
-        ({flat id: mu}, coatom ids).
+        Its flats are the flats reached from the ambient one by steps from
+        X to the children of X whose J meets col_bits - J(X), and its
+        covers are those steps.  Each level is reached from the one before,
+        so the flats above a flat (its covers and the flats above those,
+        kept as bits of flat ids) are complete before its value is summed.
+        The last level is the top alone, and the level before it holds the
+        coatoms.  Returns ({flat id: mu}, coatom ids).
         """
-        flats, child = self.flats, self.child
+        flats, children = self.flats, self.children
         above = {0: 0}
         mob = {}
         coatoms, level = (), [0]
@@ -231,11 +237,9 @@ class FlatLattice:
                     s += mob[low.bit_length() - 1]
                 mob[fid] = -s if fid else 1
                 cols = col_bits & ~flats[fid].Jbits
-                while cols:
-                    low = cols & -cols
-                    yid = child[(fid, low.bit_length() - 1)]
-                    # every i in J(Y) cuts this flat to the same Y
-                    cols &= ~flats[yid].Jbits
+                for yid in children[fid]:
+                    if not flats[yid].Jbits & cols:
+                        continue
                     if yid in above:
                         above[yid] |= up
                     else:
@@ -244,6 +248,12 @@ class FlatLattice:
             if not nxt:
                 return mob, tuple(coatoms)
             coatoms, level = level, nxt
+
+    def child(self, fid, j):
+        """The id of the flat X cap H_j for j outside J(X), X = flats[fid]."""
+        for yid in self.children[fid]:
+            if self.flats[yid].Jbits >> j & 1:
+                return yid
 
     def characteristic_polynomial(self):
         """Whitney-sum characteristic polynomial of the hyperplane poset."""
@@ -256,11 +266,11 @@ class FlatLattice:
         """(mu, coatom ids) at the top of the sub-arrangement on col_bits.
 
         The flats of a column-subset arrangement are main-lattice flats,
-        reachable through the cached intersection map, so no new linear
-        algebra happens here.  Every flat's own J is answered from the
-        main walk and the flat's covers; any other set of columns is
-        walked once and kept.  ``LayerPoset.finders`` and ``fill_mobius``
-        read the sub-arrangement J(L) of a layer here.
+        reachable through ``children``, so no new linear algebra happens
+        here.  Every flat's own J is answered from the main walk and the
+        flat's covers; any other set of columns is walked once and kept.
+        ``LayerPoset.finders`` and ``fill_mobius`` read the sub-arrangement
+        J(L) of a layer here.
         """
         got = self._sub_top.get(col_bits)
         if got is None:
@@ -277,14 +287,13 @@ def whitney_characteristic_polynomial(A):
 class Layer:
     """A translate of a flat inside the torsion space (K/O)^ell."""
 
-    __slots__ = ("index", "flat_id", "y", "J", "Jbits", "tau", "dim", "mu")
+    __slots__ = ("index", "flat_id", "y", "Jbits", "tau", "dim", "mu")
 
-    def __init__(self, index, flat_id, y, J, Jbits, tau, dim):
+    def __init__(self, index, flat_id, y, Jbits, tau, dim):
         self.index = index
         self.flat_id = flat_id
         self.y = y          # canonical representative of m*x in Z^D
-        self.J = J          # hyperplanes whose subgroup contains the layer
-        self.Jbits = Jbits
+        self.Jbits = Jbits  # bit j set for each subgroup holding the layer
         self.tau = tau      # annihilator ideal relative to the identity layer
         self.dim = dim
         self.mu = None
@@ -513,7 +522,7 @@ class LayerPoset:
         lattice, m = self.lattice, self.m
         flat = lattice.flats[flat_id]
         if not any(y):
-            tau, J, bits = self._unit, flat.J, flat.Jbits
+            tau, bits = self._unit, flat.Jbits
         else:
             tau = self.tau(flat_id, y)
             if not tau.contains_ideal(self.period):
@@ -523,11 +532,8 @@ class LayerPoset:
             A = self.arrangement
             yc = np.array(y, dtype=self._C.dtype) @ self._C % m
             on = (yc == 0).reshape(A.n, A.ring.degree).all(axis=1)
-            J = flat.J.intersection(np.flatnonzero(on).tolist())
-            bits = 0
-            for j in J:
-                bits |= 1 << j
-        z = Layer(len(self.layers), flat_id, y, J, bits, tau, flat.dim)
+            bits = flat.Jbits & _mask_bits(on)
+        z = Layer(len(self.layers), flat_id, y, bits, tau, flat.dim)
         self.layers.append(z)
         self.index[key] = z.index
         if len(self.layers) > LAYER_BUDGET:
@@ -746,7 +752,7 @@ def layer_poset(A, period=None):
                         f"flat {fid} and hyperplane {j} cut "
                         f"{format_int(count)} layers, over the budget of "
                         f"{LAYER_BUDGET}")
-                child = lattice.child[(fid, j)]
+                child = lattice.child(fid, j)
                 refine = None
                 for y, recorded in todo:
                     if count == 1 and not any(y):

@@ -48,9 +48,13 @@ def poly_to_str(coeffs, var="t"):
 
 
 class QuasiPolynomial:
-    """Period ideal plus one constituent polynomial per divisor."""
+    """Period ideal plus one constituent polynomial per divisor.
 
-    __slots__ = ("ring", "period", "constituents", "_divisors")
+    ``constituents`` is keyed by the period's divisors in divisor order,
+    the order ``divisors()`` gives.
+    """
+
+    __slots__ = ("ring", "period", "constituents")
 
     def __init__(self, ring, period, constituents):
         self.ring = ring
@@ -59,14 +63,13 @@ class QuasiPolynomial:
         if set(constituents) != set(divisors):
             raise ValueError("constituents must cover the period divisors")
         self.constituents = {k: tuple(constituents[k]) for k in divisors}
-        self._divisors = divisors
 
     @classmethod
     def constant_zero(cls, ring):
         return cls(ring, Ideal.unit(ring), {Ideal.unit(ring): (0,)})
 
     def divisors(self):
-        return list(self._divisors)
+        return list(self.constituents)
 
     def constituent(self, kappa):
         """The constituent for any ideal: kappa is reduced to gcd(kappa, rho)."""
@@ -110,7 +113,7 @@ class QuasiPolynomial:
         """
         val = PrimeValuator(p)
         e = val.ord_ideal(self.period)
-        for kappa in self._divisors:
+        for kappa in self.constituents:
             if (val.ord_ideal(kappa) == e - 1 and self.constituents[kappa]
                     != self.constituents[kappa * p]):
                 return kappa
@@ -150,7 +153,7 @@ class QuasiPolynomial:
                     "kappa_factored": format_factored(k),
                     "coeffs": list(self.constituents[k]),
                 }
-                for k in self._divisors
+                for k in self.constituents
             ],
         }
 

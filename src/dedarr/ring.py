@@ -325,56 +325,31 @@ class Ideal:
                 and not _omega_roots(self.ring, r))
 
     def factor(self):
-        """Prime factorization, deterministically ordered."""
-        ring = self.ring
-        if self._factors is not None:
-            return PrimeFactorization(ring, self._factors)
-        factors = {}
-        for p, _ in sorted(_factor_int(self._norm).items()):
-            for prime in _primes_above(ring, p):
-                e = PrimeValuator(prime).ord_ideal(self)
-                if e:
-                    factors[prime] = e
-        items = sorted(factors.items(), key=lambda kv: kv[0].sort_key())
-        fact = PrimeFactorization(ring, tuple(items))
-        if fact.product() != self:
-            raise AssertionError("factorization failed to reassemble")
-        self._factors = fact.factors
-        return fact
+        """Prime factorization: ((prime, exponent), ...), primes sorted."""
+        if self._factors is None:
+            factors = {}
+            for p, _ in sorted(_factor_int(self._norm).items()):
+                for prime in _primes_above(self.ring, p):
+                    e = PrimeValuator(prime).ord_ideal(self)
+                    if e:
+                        factors[prime] = e
+            items = tuple(sorted(factors.items(),
+                                 key=lambda kv: kv[0].sort_key()))
+            product = Ideal.unit(self.ring)
+            for prime, e in items:
+                product = product * prime.pow(e)
+            if product != self:
+                raise AssertionError("factorization failed to reassemble")
+            self._factors = items
+        return self._factors
 
     def divisors(self):
         """All divisors, sorted by (norm, HNF)."""
-        fact = self.factor()
         divs = [Ideal.unit(self.ring)]
-        for p, e in fact.factors:
+        for p, e in self.factor():
             powers = [p.pow(i) for i in range(e + 1)]
             divs = [d * q for d in divs for q in powers]
         return sorted(divs, key=Ideal.sort_key)
-
-
-class PrimeFactorization:
-    """Sorted list of (prime ideal, exponent) pairs."""
-
-    __slots__ = ("ring", "factors")
-
-    def __init__(self, ring, factors):
-        self.ring = ring
-        self.factors = factors
-
-    def product(self):
-        result = Ideal.unit(self.ring)
-        for p, e in self.factors:
-            result = result * p.pow(e)
-        return result
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __repr__(self):
-        if not self.factors:
-            return "<1>"
-        return " * ".join(f"{p!r}^{e}" if e > 1 else repr(p)
-                          for p, e in self.factors)
 
 
 class PrimeValuator:
@@ -593,15 +568,14 @@ def ideals_of_norm_up_to(ring, bound):
     return sorted(result, key=Ideal.sort_key)
 
 
-def format_factored(ideal_or_fact):
+def format_factored(ideal):
     """Deterministic factored form like "p2^1*q3^2" (primes by norm)."""
-    fact = (ideal_or_fact if isinstance(ideal_or_fact, PrimeFactorization)
-            else ideal_or_fact.factor())
-    if not fact.factors:
+    factors = ideal.factor()
+    if not factors:
         return "1"
     letters = "pqrstuvabcdefghijklmno"
     parts = []
-    for i, (prime, e) in enumerate(fact.factors):
+    for i, (prime, e) in enumerate(factors):
         letter = letters[i % len(letters)]
         parts.append(f"{letter}{prime.norm}^{e}")
     return "*".join(parts)

@@ -78,6 +78,11 @@ def mobius_by_recursion(P):
     return mu
 
 
+def bit_set(bits):
+    """The indices of the set bits of an int, as a frozenset."""
+    return frozenset(j for j in range(bits.bit_length()) if bits >> j & 1)
+
+
 def determinant_coset_count(P, flat_id, j):
     """Components of P cap H_j for a layer P of the flat, by determinants.
 
@@ -89,7 +94,7 @@ def determinant_coset_count(P, flat_id, j):
     """
     D, m = P.lattice.D, P.m
     lam_basis, _ = P.lam(flat_id)
-    lam_child, _ = P.lam(P.lattice.child[(flat_id, j)])
+    lam_child, _ = P.lam(P.lattice.child(flat_id, j))
     M = zl.mat_mul(lam_basis, P.lattice.colmats[j])
     steps = math.prod(m // math.gcd(d, m) for d in zl.small_snf_diagonal(M))
     return (math.prod(lam_child[i][i] for i in range(D))
@@ -121,9 +126,9 @@ def exhaustive_layer_poset(A, period=None, finds=None):
                 continue
             lam_basis, _ = P.lam(flat.id)
             for j in range(A.n):
-                if j in flat.J:
+                if flat.Jbits >> j & 1:
                     continue
-                child = lattice.child[(flat.id, j)]
+                child = lattice.child(flat.id, j)
                 lam_child, pivots_child = P.lam(child)
                 colmat = lattice.colmats[j]
                 refine = ly._Refinement(lam_basis, lam_child, pivots_child,
@@ -160,7 +165,7 @@ def annihilator_and_J(P, z):
     ker = left_kernel_hnf(rows + [list(r) for r in basis])
     tau = Ideal(ring, zl.hnf([k[:deg] for k in ker])[0])
     yc = vec_mat(y, P.lattice.C)
-    J = frozenset(j for j in P.flat(z).J
+    J = frozenset(j for j in bit_set(P.flat(z).Jbits)
                   if all(x % P.m == 0 for x in yc[deg * j: deg * (j + 1)]))
     return tau, J
 
@@ -184,7 +189,7 @@ def finders_by_sub_arrangement(P, z):
             while cols:
                 low = cols & -cols
                 cols ^= low
-                nxt[lattice.child[(fid, low.bit_length() - 1)]] = None
+                nxt[lattice.child(fid, low.bit_length() - 1)] = None
         level = list(nxt)
     for xid in level:
         yield P.project(z, xid), z.Jbits & ~lattice.flats[xid].Jbits
@@ -192,7 +197,7 @@ def finders_by_sub_arrangement(P, z):
 
 def layer_digest(P):
     """(index, flat, y, J, tau, mu) of every layer, in order."""
-    return [(z.index, z.flat_id, z.y, z.J, z.tau.hnf, z.mu)
+    return [(z.index, z.flat_id, z.y, bit_set(z.Jbits), z.tau.hnf, z.mu)
             for z in P.layers]
 
 

@@ -99,6 +99,18 @@ def test_layers_and_dot(nonprincipal_file, tmp_path):
     assert "layers: 3" in text
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory",
+                                   "empty path"])
+def test_layers_dot_to_unwritable_path_exits_2(where, nonprincipal_file,
+                                               tmp_path, capsys):
+    # the DOT file is written before the listing, so nothing is printed
+    path = {"missing directory": str(tmp_path / "missing" / "poset.dot"),
+            "directory": str(tmp_path), "empty path": ""}[where]
+    rc, text = run(["layers", nonprincipal_file, "--dot", path])
+    assert rc == 2 and text == ""
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_verify(gaussian_file):
     rc, text = run(["verify", gaussian_file, "--max-norm", "9"])
     assert rc == 0

@@ -12,7 +12,7 @@ from dedarr import layers as ly
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import (annihilator_and_J, determinant_coset_count,
+from conftest import (annihilator_and_J, bit_set, determinant_coset_count,
                       exhaustive_layer_poset, finders_by_sub_arrangement,
                       flats_above, hasse_covers_by_triples, invariant_factors,
                       layer_digest, m_value, mobius_by_recursion,
@@ -38,7 +38,7 @@ def test_intersection_lattice_examples(gaussian_arrangement,
     dims = sorted(f.dim for f in lat.flats)
     assert dims == [0, 1, 1, 1, 1, 2]
     origin = [f for f in lat.flats if f.dim == 0][0]
-    assert origin.J == frozenset({0, 1, 2, 3})
+    assert bit_set(origin.Jbits) == frozenset({0, 1, 2, 3})
 
     generic = cq.Arrangement(Z, [[(1,), (0,)], [(0,), (1,)]])
     assert len(ly.FlatLattice(generic).flats) == 4
@@ -54,19 +54,20 @@ def direct_cut(lattice, flat, j):
 
 def check_children(A):
     lat = ly.FlatLattice(A)
-    pairs = 0
+    # children is exactly the inverse of covers, each pair once
+    assert sorted((x, y) for x, ys in enumerate(lat.children) for y in ys) \
+        == sorted((x, y) for y, xs in enumerate(lat.covers) for x in xs)
     for flat in lat.flats:
         if flat.dim == 0:
             continue
         for j in range(A.n):
-            if j in flat.J:
+            if flat.Jbits >> j & 1:
                 continue
-            got = lat.flats[lat.child[(flat.id, j)]]
+            got = lat.flats[lat.child(flat.id, j)]
             assert got.lat == direct_cut(lat, flat, j), (flat, j)
             assert got.codim == flat.codim + 1
-            assert got.J >= flat.J | {j}
-            pairs += 1
-    assert len(lat.child) == pairs
+            want = flat.Jbits | 1 << j
+            assert got.Jbits & want == want
     # a flat covers the flats one codim up whose J lies in its own
     for flat in lat.flats:
         assert sorted(lat.covers[flat.id]) == [
@@ -79,7 +80,7 @@ def check_children(A):
                                       lat.colmats[j])[i][s]
                         for i in range(len(flat.lat))
                         for s in range(A.ring.degree))}
-        assert flat.J == J and flat.Jbits == sum(1 << j for j in J)
+        assert bit_set(flat.Jbits) == J
     return lat
 
 
@@ -149,14 +150,15 @@ def check_finding_rule(A):
         for x in P.lattice.flats:
             if x.codim != flat.codim - 1 or x.Jbits & flat.Jbits != x.Jbits:
                 continue
-            common = sorted(z.J & x.J)
+            common = sorted(bit_set(z.Jbits & x.Jbits))
             rank = rank_over_K(A.coeff_matrix(common)) if common else 0
             parent = P.project(z, x.id)
             if rank != x.codim:
                 assert parent is None  # J(parent) would not span X
                 refused += 1
                 continue
-            rule |= {(x.id, j, parent.index, z.index) for j in z.J - x.J}
+            rule |= {(x.id, j, parent.index, z.index)
+                     for j in bit_set(z.Jbits & ~x.Jbits)}
     assert finds == rule
     named = {(w.flat_id, j, w.index, z.index)
              for z in P.layers for w, bits in P.finders(z)
@@ -172,8 +174,8 @@ def test_layers_found_by_the_rule():
     P, finds, refused = check_finding_rule(A)
     third = [z for z in P.layers
              if P.representative_string(z) == "(1/3, 1/3)"]
-    assert len(third) == 1 and third[0].J == frozenset({1, 2})
-    from_flats = {P.lattice.flats[x].J
+    assert len(third) == 1 and bit_set(third[0].Jbits) == frozenset({1, 2})
+    from_flats = {bit_set(P.lattice.flats[x].Jbits)
                   for x, _, _, i in finds if i == third[0].index}
     assert from_flats == {frozenset({1}), frozenset({2})}
     h4 = rootsys.builtin("H4").arrangement
@@ -222,8 +224,8 @@ def test_layer_tau_and_J_match_linear_algebra(gaussian_arrangement,
     for A in rule_cases(gaussian_arrangement, nonprincipal_arrangement):
         P = ly.layer_poset(A)
         for z in P.layers:
-            assert (z.tau, z.J) == annihilator_and_J(P, z), (A.columns, z)
-            assert z.Jbits == sum(1 << j for j in z.J)
+            assert (z.tau, bit_set(z.Jbits)) == annihilator_and_J(P, z), \
+                (A.columns, z)
             zero += not any(z.y)
         # one Ideal per distinct annihilator, so each is factored once
         assert (len({id(z.tau) for z in P.layers})
@@ -350,7 +352,7 @@ def check_coset_counts(A, kappa, lattice):
         assert len(got) == len(level)
         for fid, counts in zip(level, got):
             for j in range(A.n):
-                if j not in lattice.flats[fid].J:
+                if not lattice.flats[fid].Jbits >> j & 1:
                     assert counts[j] == determinant_coset_count(P, fid, j), \
                         (A.columns, kappa, fid, j)
     return P
@@ -456,11 +458,7 @@ def test_overcounted_registration_is_caught(monkeypatch):
     def extra(self, z):
         yield from right(self, z)
         zero = (0,) * self.lattice.D
-        # the flats z's flat covers, by inverting the intersection map
-        covered = dict.fromkeys(xid for (xid, _), yid
-                                in self.lattice.child.items()
-                                if yid == z.flat_id)
-        for xid in covered:
+        for xid in self.lattice.covers[z.flat_id]:
             x_bits = self.lattice.flats[xid].Jbits
             yield self.layers[self.index[(xid, zero)]], z.Jbits & ~x_bits
 
@@ -517,7 +515,7 @@ def test_layer_poset_gaussian(gaussian_arrangement):
     # the identity point lies on all four subgroups and has mu = 3
     zero_layers = [z for z in P.layers if z.dim == 0 and not any(z.y)]
     assert len(zero_layers) == 1 and zero_layers[0].mu == 3
-    assert zero_layers[0].J == frozenset({0, 1, 2, 3})
+    assert bit_set(zero_layers[0].Jbits) == frozenset({0, 1, 2, 3})
     mus = sorted(z.mu for z in P.layers if z.dim == 0)
     assert mus == [1, 1, 1, 1, 3, 3]
 
@@ -539,9 +537,10 @@ def test_layer_counts_match_torsion_sizes(gaussian_arrangement,
         for flat in P.lattice.flats:
             if flat.codim == 0:
                 continue
-            inv = invariant_factors(A.coeff_matrix(sorted(flat.J)))
+            inv = invariant_factors(A.coeff_matrix(sorted(bit_set(
+                flat.Jbits))))
             at_flat = [z for z in P.layers
-                       if z.flat_id == flat.id and z.J == flat.J]
+                       if z.flat_id == flat.id and z.Jbits == flat.Jbits]
             for kappa in rho.divisors():
                 expected = m_value(inv, kappa)
                 got = sum(1 for z in at_flat
@@ -563,7 +562,7 @@ def test_layer_counts_random():
                 for J in combinations(range(A.n), size):
                     inv = invariant_factors(A.coeff_matrix(J))
                     members = [z for z in P.layers
-                               if set(J) <= z.J
+                               if set(J) <= bit_set(z.Jbits)
                                and P.lattice.flats[z.flat_id].codim
                                == inv.rank]
                     for kappa in rho.divisors():
@@ -709,8 +708,9 @@ def test_localization_recursion_consistency():
                 if flat.codim == 0:
                     continue
                 total = 0
-                for size in range(0, len(z.J) + 1):
-                    for J in combinations(sorted(z.J), size):
+                Jz = sorted(bit_set(z.Jbits))
+                for size in range(0, len(Jz) + 1):
+                    for J in combinations(Jz, size):
                         if not J:
                             continue
                         C = A.coeff_matrix(J)
