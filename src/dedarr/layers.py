@@ -538,8 +538,14 @@ class LayerPoset:
         self.index[key] = z.index
         if len(self.layers) > LAYER_BUDGET:
             raise ExponentTooLarge(
-                f"layer count exceeded the budget of {LAYER_BUDGET}")
+                f"layer count exceeded the budget of {LAYER_BUDGET}"
+                + self._progress(flat.codim))
         return z
+
+    def _progress(self, codim):
+        """How far the build got, for a budget message."""
+        return (f" (reached codim {codim}; layers so far: "
+                f"{len(self.layers)}; flats: {len(self.lattice.flats)})")
 
     # -- Moebius values --
 
@@ -751,7 +757,7 @@ def layer_poset(A, period=None):
                     raise ExponentTooLarge(
                         f"flat {fid} and hyperplane {j} cut "
                         f"{format_int(count)} layers, over the budget of "
-                        f"{LAYER_BUDGET}")
+                        f"{LAYER_BUDGET}" + poset._progress(codim + 1))
                 child = lattice.child(fid, j)
                 refine = None
                 for y, recorded in todo:

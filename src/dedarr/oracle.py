@@ -1,12 +1,18 @@
 """Brute-force ground truth: point counts over (O/a)^ell.
 
-Enumerates the full residue grid (streamed in chunks) and counts points
-off every reduced hyperplane, or in the kernel of a coefficient matrix.
-Everything is int64 numpy.  The coefficients are first reduced modulo
-the least integer m in the ideal a; m*O lies in a, so the counts do not
-change, and every value the products and membership tests reach stays
-below (ell*(1 + |t| + |n|) + 1)*m^2, where w^2 = t*w - n.  An ideal for
-which that could reach 2^63 raises BudgetExceeded instead of wrapping.
+Enumerates the full residue grid and counts points off every reduced
+hyperplane, or in the kernel of a coefficient matrix.  Everything is
+int64 numpy.  The coefficients are first reduced modulo the least
+integer m in the ideal a; m*O lies in a, so the counts do not change,
+and every value the products and membership tests reach stays below
+(ell*(1 + |t| + |n|) + 1)*m^2, where w^2 = t*w - n.  An ideal for which
+that could reach 2^63 raises BudgetExceeded instead of wrapping.
+
+The grid is streamed in blocks of BLOCK = 2^13 points, so each int64
+temporary of a block is 64 KB.  They stay in cache, the allocator reuses
+them rather than mapping fresh pages, and one call holds about 1.5 MB
+whatever N(a)^ell is; 2^17-point blocks held 18 MB at ell = 4.  Over
+block sizes 2^10 to 2^17, 2^12 and 2^13 counted fastest.
 """
 
 import numpy as np
@@ -14,7 +20,7 @@ import numpy as np
 from .errors import BudgetExceeded, format_int
 
 DEFAULT_BUDGET = 10 ** 7
-CHUNK = 1 << 17
+BLOCK = 1 << 13
 
 
 def _residue_arrays(a):
@@ -66,8 +72,9 @@ def _reduce(x, m):
     return tuple(c % m for c in x)
 
 
-def _grid_chunks(a, ell, budget):
-    """Yield tuples of coordinate arrays covering (O/a)^ell."""
+def _grid_blocks(a, ell, budget):
+    """Yield tuples of coordinate arrays covering (O/a)^ell, BLOCK points
+    at a time."""
     norm = a.norm
     total = norm ** ell
     if total > budget:
@@ -75,14 +82,13 @@ def _grid_chunks(a, ell, budget):
             f"{format_int(total)} residue vectors exceed the budget of "
             f"{budget}")
     per_coord = _residue_arrays(a)
-    deg = len(per_coord)
-    for start in range(0, total, CHUNK):
-        stop = min(start + CHUNK, total)
-        flat = np.arange(start, stop, dtype=np.int64)
+    radix = [norm ** i for i in range(ell)]
+    for start in range(0, total, BLOCK):
+        flat = np.arange(start, min(start + BLOCK, total), dtype=np.int64)
         coords = []
-        for i in range(ell):
-            idx = (flat // (norm ** i)) % norm
-            coords.append(tuple(per_coord[c][idx] for c in range(deg)))
+        for r in radix:
+            idx = flat // r % norm
+            coords.append(tuple(c[idx] for c in per_coord))
         yield coords
 
 
@@ -92,7 +98,7 @@ def _count(ring, a, ell, vectors, budget, on):
     m = _reduction_modulus(ring, a, ell)
     vectors = [[_reduce(x, m) for x in v] for v in vectors]
     count = 0
-    for coords in _grid_chunks(a, ell, budget):
+    for coords in _grid_blocks(a, ell, budget):
         alive = np.ones(len(coords[0][0]), dtype=bool)
         for v in vectors:
             acc = None

@@ -898,6 +898,31 @@ def test_refinement_coset_budget(monkeypatch):
     assert built == []
 
 
+def test_layer_budget_messages_say_how_far_the_run_got(gaussian_arrangement,
+                                                       monkeypatch):
+    # the Gaussian four lines list 1 layer at codim 0, 4 at codim 1 and 6
+    # at codim 2, over 6 flats; the Z line (5) has 2 flats, and its ambient
+    # flat and H_0 cut 5 layers at codim 1
+    from dedarr.errors import ExponentTooLarge
+    A = cq.Arrangement(Z, [[(5,)]])
+    for arrangement, budget, codim, layers, flats in [
+            (gaussian_arrangement, 6, 2, 7, 6),
+            (gaussian_arrangement, 10, 2, 11, 6),
+            (A, 5, 1, 6, 2)]:
+        monkeypatch.setattr(ly, "LAYER_BUDGET", budget)
+        with pytest.raises(ExponentTooLarge) as err:
+            ly.layer_poset(arrangement)
+        assert str(err.value) == (
+            f"layer count exceeded the budget of {budget} (reached codim "
+            f"{codim}; layers so far: {layers}; flats: {flats})")
+    monkeypatch.setattr(ly, "LAYER_BUDGET", 4)
+    with pytest.raises(ExponentTooLarge) as err:
+        ly.layer_poset(A)
+    assert str(err.value) == (
+        "flat 0 and hyperplane 0 cut 5 layers, over the budget of 4 "
+        "(reached codim 1; layers so far: 1; flats: 2)")
+
+
 def test_localized_poset_partial_strip(nonprincipal_arrangement):
     A = nonprincipal_arrangement
     P = ly.layer_poset(A)

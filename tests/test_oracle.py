@@ -1,5 +1,7 @@
 import random
-from itertools import combinations
+import tracemalloc
+from functools import reduce
+from itertools import combinations, product
 
 import pytest
 
@@ -121,3 +123,90 @@ def test_inclusion_exclusion_sanity():
                     C = A.coeff_matrix(J)
                     acc += (-1) ** size * oracle.brute_count_kernel(C, a)
             assert acc == oracle.brute_count_complement(A, a)
+
+
+def enumerated_count(ring, a, ell, vectors, on):
+    """``oracle._count`` by its definition: one ``Ideal.contains`` per
+    residue vector and vector, in pure Python."""
+    count = 0
+    for x in product(a.residues(), repeat=ell):
+        hits = [a.contains(reduce(ring.add, map(ring.mul, x, v)))
+                for v in vectors]
+        count += all(hits) if on else not any(hits)
+    return count
+
+
+def check_against_enumeration(A, a):
+    assert oracle.brute_count_complement(A, a) == enumerated_count(
+        A.ring, a, A.ell, A.columns, on=False), (A.columns, a)
+    C = A.coeff_matrix(range(min(2, A.n)))
+    columns = [[row[j] for row in C.rows] for j in range(C.ncols)]
+    assert oracle.brute_count_kernel(C, a) == enumerated_count(
+        A.ring, a, A.ell, columns, on=True), (A.columns, a)
+
+
+def grids_beside_multiples(ring, block, ells, limit):
+    """(ideal, ell) with N(a)^ell one point below or one point above a
+    multiple of the block and at most ``limit`` points, the first of each
+    side per ell."""
+    found = {}
+    for a in rg.ideals_of_norm_up_to(ring, limit):
+        for ell in ells:
+            total = a.norm ** ell
+            if block - 1 <= total <= limit and total % block in (1, block - 1):
+                found.setdefault((total % block, ell), (a, ell))
+    return list(found.values())
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, oracle.BLOCK])
+def test_block_boundaries_are_exact(block, monkeypatch):
+    # the counts stream the grid in blocks; a block size that splits the
+    # grid anywhere, and grids one point either side of a multiple of it,
+    # must give the enumeration's counts
+    real = block == oracle.BLOCK
+    monkeypatch.setattr(oracle, "BLOCK", block)
+    rng = random.Random(block)
+    sides = set()
+    for ring in (Z, ZI, Z5, ZT):
+        grids = [(rg.Ideal.principal(ring, ring.from_int(k)), ell)
+                 for k, ell in [(2, 2), (3, 1), (2, 3)]]
+        if block > 1:
+            # past the real block only ell = 1 stays within the budget
+            beside = grids_beside_multiples(
+                ring, block, [1] if real else [1, 2, 3],
+                2 * block + 1 if real else 1500)
+            assert beside, ring
+            sides |= {a.norm ** ell % block for a, ell in beside}
+            grids += beside
+        for a, ell in grids:
+            A = rand_small_arrangement(rng, ring, ell_max=ell, n_max=4)
+            while A.ell != ell:
+                A = rand_small_arrangement(rng, ring, ell_max=ell, n_max=4)
+            check_against_enumeration(A, a)
+    if block > 1:
+        assert sides == {1, block - 1}
+    # every point of 7..13 is a multiple of 2, 3, 7, 11 or 13 and lies on
+    # one of the first five hyperplanes, so at block 7 the second block
+    # empties and leaves the loop before the last column; 17 and 19 in
+    # the next block survive, as do the 5,760 units of Z/30030
+    n = 2 * 3 * 5 * 7 * 11 * 13
+    a = rg.Ideal.principal(Z, (n,))
+    A = cq.Arrangement(Z, [[(n // d,)] for d in (2, 3, 7, 11, 13, 5)])
+    assert oracle.brute_count_complement(A, a) == 5760
+    assert enumerated_count(Z, a, 1, A.columns, on=False) == 5760
+
+
+def test_memory_ceiling():
+    # H4[:8] at a norm-19 prime of Z[tau]: 19^4 = 130,321 points.  The
+    # blocks hold the call near 1.5 MB; 2^17-point blocks held 18 MB
+    h4 = rootsys.builtin("H4").arrangement
+    A = cq.Arrangement(ZT, h4.columns[:8])
+    p19 = [a for a in rg.ideals_of_norm_up_to(ZT, 19) if a.norm == 19][0]
+    tracemalloc.start()
+    try:
+        count = oracle.brute_count_complement(A, p19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 82080
+    assert peak < 4 * 10 ** 6
