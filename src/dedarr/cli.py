@@ -63,9 +63,8 @@ def _print_quasi_polynomial(q, as_json, timing_ms, out):
         out.write(json.dumps(payload, sort_keys=True) + "\n")
         return
     out.write(f"period: {_ideal_str(q.period)}\n")
-    for k in q.divisors():
-        out.write(f"f[{format_factored(k)}] = "
-                  f"{poly_to_str(q.constituents[k])}\n")
+    for k, label in zip(q.divisors(), q.divisor_labels()):
+        out.write(f"f[{label}] = {poly_to_str(q.constituents[k])}\n")
 
 
 def cmd_period(args, out):

@@ -37,12 +37,16 @@ HASSE_BUDGET = 10 ** 6  # the square of the most layers a Hasse diagram draws
 class Flat:
     """An intersection subspace of the hyperplane arrangement."""
 
-    __slots__ = ("id", "lat", "pivots", "image", "Jbits", "dim", "codim")
+    __slots__ = ("id", "lat", "pivots", "unit_pivots", "image", "Jbits",
+                 "dim", "codim")
 
     def __init__(self, fid, lat, pivots, image, Jbits, dim, codim):
         self.id = fid
         self.lat = lat          # saturated lattice H_X int Z^D, HNF rows
         self.pivots = pivots
+        # every pivot of lat is 1: the quotient by lat + m Z^D is read off
+        # lat itself (LayerPoset.canon)
+        self.unit_pivots = all(row[p] == 1 for row, p in zip(lat, pivots))
         self.image = image      # lat * C, exact numpy array
         self.Jbits = Jbits      # bit j set for each hyperplane containing X
         self.dim = dim          # dimension over the fraction field
@@ -408,7 +412,8 @@ class LayerPoset:
         self.mobius_sums = None  # (dim, tau) -> sum of mu, by fill_mobius
         self._lam = {}
         self._unit = Ideal.unit(arrangement.ring)
-        self._taus = {self._unit: self._unit}  # one Ideal per annihilator
+        # one Ideal per annihilator, by HNF
+        self._taus = {self._unit.hnf: self._unit}
         # a layer's y*(C mod m), y reduced mod m, is below D*m^2, and so
         # are coset_counts' minors of the image mod m
         self._C = np.array([[x % m for x in row] for row in lattice.C],
@@ -420,16 +425,32 @@ class LayerPoset:
         return self.lattice.flats[layer.flat_id]
 
     def lam(self, flat_id):
+        """(HNF basis, pivots) of the flat's lattice plus m Z^D.
+
+        With every pivot of the flat's basis 1, the HNF is that basis with
+        its other entries reduced mod m, plus m*e_c at each column c that
+        is no pivot: the rows are in echelon order, and the entries above
+        a pivot are in [0, 1) or [0, m).
+        """
         if flat_id not in self._lam:
             flat = self.lattice.flats[flat_id]
-            D = self.lattice.D
-            # m*e_p for a unit pivot p is m times the flat's row there,
-            # less the m*e_c with c > p
-            unit = {p for row, p in zip(flat.lat, flat.pivots) if row[p] == 1}
-            rows = [list(r) for r in flat.lat] + \
-                [[self.m if c == r else 0 for c in range(D)]
-                 for r in range(D) if r not in unit]
-            self._lam[flat_id] = zl.hnf(rows)
+            D, m = self.lattice.D, self.m
+            if flat.unit_pivots:
+                rows = [[m if k == c else 0 for k in range(D)]
+                        for c in range(D)]
+                for row, p in zip(flat.lat, flat.pivots):
+                    rows[p] = [x % m for x in row]
+                    rows[p][p] = 1  # also when m = 1
+                self._lam[flat_id] = (rows, list(range(D)))
+            else:
+                # m*e_p for a unit pivot p is m times the flat's row there,
+                # less the m*e_c with c > p
+                unit = {p for row, p in zip(flat.lat, flat.pivots)
+                        if row[p] == 1}
+                rows = [list(r) for r in flat.lat] + \
+                    [[m if c == r else 0 for c in range(D)]
+                     for r in range(D) if r not in unit]
+                self._lam[flat_id] = zl.hnf(rows)
         return self._lam[flat_id]
 
     def coset_counts(self, flat_ids):
@@ -464,8 +485,20 @@ class LayerPoset:
         return np.gcd(d1, m) * np.gcd(d2, m)
 
     def canon(self, flat_id, y):
+        """The canonical representative of y modulo the flat's lattice plus
+        m Z^D, the one ``zl.reduce_mod`` against ``lam`` gives.
+
+        With every pivot of the flat's basis 1 that is y less y_p times the
+        basis row at each pivot p, which clears the pivots and leaves the
+        other columns to take mod m: no ``lam`` is formed.
+        """
+        flat = self.lattice.flats[flat_id]
+        if flat.unit_pivots:
+            m = self.m
+            return tuple(x % m for x in zl.reduce_mod(y, flat.lat,
+                                                      flat.pivots))
         basis, pivots = self.lam(flat_id)
-        return tuple(zl.reduce_mod(list(y), basis, pivots))
+        return tuple(zl.reduce_mod(y, basis, pivots))
 
     def project(self, layer, flat_id):
         """The layer of the coarser flat containing this one, if any."""
@@ -499,20 +532,42 @@ class LayerPoset:
     # -- construction --
 
     def tau(self, flat_id, y):
-        """Annihilator ideal of the coset of y modulo the flat's lattice."""
+        """Annihilator ideal of the coset of y modulo the flat's lattice.
+
+        That is {a : a*y in lam}.  With every pivot of the flat's basis 1,
+        the quotient by lam is (Z/m)^k on the columns that are no pivot,
+        where ``canon`` leaves its coordinates, so the annihilator is the
+        pair lattice of canon(y) and canon(w*y) mod m
+        (``zl.annihilator_mod``); over Z it is <m / gcd(m, canon(y))>.
+        Any other flat takes it off the kernel of [lam; y; w*y].  One
+        ``Ideal`` is kept per HNF.
+        """
         ring = self.arrangement.ring
         deg = ring.degree
+        m = self.m
         rows = [list(y)]
         if deg == 2:
             rows.append([c for i in range(0, len(y), 2)
                          for c in ring.omega_mul((y[i], y[i + 1]))])
-        # the lattice rows first: they are already echelon
-        basis, _ = self.lam(flat_id)
-        ker = zl.left_kernel(basis + rows)
-        hb, _ = zl.hnf([k[-deg:] for k in ker])
-        if len(hb) < deg:
-            raise CertificateFailure("annihilator lattice is rank deficient")
-        return Ideal(ring, hb)
+        flat = self.lattice.flats[flat_id]
+        if flat.unit_pivots:
+            # canon before its mod m, which the annihilator ignores
+            red = [zl.reduce_mod(r, flat.lat, flat.pivots) for r in rows]
+            key = (((m // math.gcd(m, *red[0]),),) if deg == 1
+                   else zl.annihilator_mod(*red, m))
+        else:
+            # the lattice rows first: they are already echelon
+            basis, _ = self.lam(flat_id)
+            ker = zl.left_kernel(basis + rows)
+            hb, _ = zl.hnf([k[-deg:] for k in ker])
+            if len(hb) < deg:
+                raise CertificateFailure(
+                    "annihilator lattice is rank deficient")
+            key = tuple(tuple(r) for r in hb)
+        tau = self._taus.get(key)
+        if tau is None:
+            tau = self._taus[key] = Ideal(ring, key)
+        return tau
 
     def add_layer(self, flat_id, y):
         """Append the layer y of the flat; None if known or not torsion."""
@@ -527,7 +582,6 @@ class LayerPoset:
             tau = self.tau(flat_id, y)
             if not tau.contains_ideal(self.period):
                 return None  # not period-torsion: outside this poset
-            tau = self._taus.setdefault(tau, tau)
             # the hyperplanes j of the flat with y*C_j = 0 mod m
             A = self.arrangement
             yc = np.array(y, dtype=self._C.dtype) @ self._C % m

@@ -8,7 +8,7 @@ the generalized GCD property.
 """
 
 from .errors import RingMismatch
-from .ring import Ideal, PrimeValuator
+from .ring import Ideal, PrimeValuator, format_factored, format_factors
 
 
 def poly_eval(coeffs, t):
@@ -51,7 +51,9 @@ class QuasiPolynomial:
     """Period ideal plus one constituent polynomial per divisor.
 
     ``constituents`` is keyed by the period's divisors in divisor order,
-    the order ``divisors()`` gives.
+    the order ``divisors()`` gives.  The given keys are checked, not
+    rebuilt: distinct ideals that all divide the period, as many as it
+    has divisors, prod (e_p + 1) over its factorization.
     """
 
     __slots__ = ("ring", "period", "constituents")
@@ -59,10 +61,15 @@ class QuasiPolynomial:
     def __init__(self, ring, period, constituents):
         self.ring = ring
         self.period = period
-        divisors = period.divisors()
-        if set(constituents) != set(divisors):
+        count = 1
+        for _, e in period.factor():
+            count *= e + 1
+        if len(constituents) != count or not all(
+                isinstance(k, Ideal) and k.ring == period.ring
+                and k.divides(period) for k in constituents):
             raise ValueError("constituents must cover the period divisors")
-        self.constituents = {k: tuple(constituents[k]) for k in divisors}
+        self.constituents = {k: tuple(constituents[k])
+                             for k in sorted(constituents, key=Ideal.sort_key)}
 
     @classmethod
     def constant_zero(cls, ring):
@@ -70,6 +77,23 @@ class QuasiPolynomial:
 
     def divisors(self):
         return list(self.constituents)
+
+    def divisor_labels(self):
+        """``format_factored`` of each divisor, in divisor order.
+
+        The exponents are read off the period's primes, so no divisor is
+        factored on its own.
+        """
+        vals = [(p, PrimeValuator(p)) for p, _ in self.period.factor()]
+        labels = []
+        for kappa in self.constituents:
+            factors = []
+            for p, val in vals:
+                e = val.ord_ideal(kappa)
+                if e:
+                    factors.append((p, e))
+            labels.append(format_factors(factors))
+        return labels
 
     def constituent(self, kappa):
         """The constituent for any ideal: kappa is reduced to gcd(kappa, rho)."""
@@ -138,7 +162,6 @@ class QuasiPolynomial:
         return q.period, q
 
     def to_json_dict(self):
-        from .ring import format_factored
         return {
             "ring": ring_to_json(self.ring),
             "period": {
@@ -150,10 +173,10 @@ class QuasiPolynomial:
                 {
                     "kappa": [list(g) for g in k.basis()],
                     "kappa_hnf": [list(r) for r in k.hnf],
-                    "kappa_factored": format_factored(k),
+                    "kappa_factored": label,
                     "coeffs": list(self.constituents[k]),
                 }
-                for k in self.constituents
+                for k, label in zip(self.constituents, self.divisor_labels())
             ],
         }
 

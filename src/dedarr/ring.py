@@ -570,7 +570,12 @@ def ideals_of_norm_up_to(ring, bound):
 
 def format_factored(ideal):
     """Deterministic factored form like "p2^1*q3^2" (primes by norm)."""
-    factors = ideal.factor()
+    return format_factors(ideal.factor())
+
+
+def format_factors(factors):
+    """``format_factored`` of the ideal with the sorted (prime, exponent)
+    pairs ``factors``, exponents positive."""
     if not factors:
         return "1"
     letters = "pqrstuvabcdefghijklmno"

@@ -179,6 +179,30 @@ def left_kernel(rows):
     return [r[n:] for r in _echelon(aug, n)[2]]
 
 
+def annihilator_mod(u, w, m):
+    """HNF rows of {(a, b) in Z^2 : a*u + b*w = 0 mod m}, vectors u, w.
+
+    Column operations on the 2 x k matrix [u; w] keep the set, so one xgcd
+    sweep along u leaves a column (g, e) and columns (0, w'_j); those force
+    b into n*Z, n = m / gcd(m, w'_j).  What is left is the lattice
+    {(a, n*t) : a*g + t*n*e = 0 mod m}: with d = gcd(n*e, m) its first
+    row is (d / gcd(g, d), n*t) for the t that solves the congruence, and
+    its second (0, n*m/d).  It holds m*Z^2, so both pivots divide m.
+    """
+    g = e = h = 0
+    for x, y in zip(u, w):
+        if x:
+            G, s, t = xgcd(g, x)
+            g, e, y = G, (s * e + t * y) % m, (g // G) * y - (x // G) * e
+        h = math.gcd(h, y)
+    n = m // math.gcd(h, m)
+    d = math.gcd(n * e, m)
+    a = d // math.gcd(g, d)
+    step = m // d
+    t = (-(g * a // d) * pow(n * e // d, -1, step)) % step if step > 1 else 0
+    return ((a, n * t), (0, n * step))
+
+
 def snf_transforms(rows):
     """Return (diag, U, V, Vinv) with U*A*V diagonal, U, V unimodular."""
     a = [list(r) for r in rows]
@@ -346,15 +370,15 @@ def identity(n):
     return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
 
 
-def coset_reps(sub_rows, sup_rows):
+def coset_reps(sub, sup):
     """Representatives of L_sup / L_sub for full-index sublattice pairs.
 
-    Both arguments are bases (rows).  Requires L_sub <= L_sup with finite
+    Both arguments are HNF bases (rows), as ``hnf`` gives them; the pivots
+    of ``sup`` are read off its rows.  Requires L_sub <= L_sup with finite
     index.  Returns a list of integer vectors in ambient coordinates, one
     per coset, with the zero coset first.
     """
-    sup, sup_piv = hnf(sup_rows)
-    sub, _ = hnf(sub_rows)
+    sup_piv = [next(j for j, x in enumerate(row) if x) for row in sup]
     coords = []
     for row in sub:
         c = coords_in_lattice(row, sup, sup_piv)

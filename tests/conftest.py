@@ -146,6 +146,71 @@ def exhaustive_layer_poset(A, period=None, finds=None):
     return P
 
 
+def lam_by_hnf(P, flat_id):
+    """(HNF, pivots) of the flat's lattice plus m Z^D, by elimination.
+
+    ``LayerPoset.lam`` writes it down off the flat's basis when every
+    pivot is 1; this is the HNF of the basis with every m*e_r.
+    """
+    D, m = P.lattice.D, P.m
+    rows = [list(r) for r in P.lattice.flats[flat_id].lat] + [
+        [m if c == r else 0 for c in range(D)] for r in range(D)]
+    return zl.hnf(rows)
+
+
+def tau_by_kernel(ring, lam, y):
+    """The annihilator of y modulo the lattice with HNF ``lam``, off the
+    kernel of [lam; y; w*y], the reference for ``LayerPoset.tau``."""
+    deg = ring.degree
+    rows = [list(y)]
+    if deg == 2:
+        rows.append([c for i in range(0, len(y), 2)
+                     for c in ring.omega_mul((y[i], y[i + 1]))])
+    ker = zl.left_kernel(lam[0] + rows)
+    return Ideal(ring, zl.hnf([k[-deg:] for k in ker])[0])
+
+
+def check_layer_algebra(P, rng):
+    """Check ``lam``, ``canon`` and ``tau`` against ``lam_by_hnf``.
+
+    Every flat's lam, and its canon and tau at two random points of the
+    1/m grid, torsion or not; at every nonzero layer tau, and canon to its
+    own flat and every coarser one, on its own flat also of the layer's
+    point moved by a random vector of the flat's lattice plus m Z^D.
+    Returns (flats, flats with a pivot above 1, nonzero layers, those of
+    them on such flats).
+    """
+    lattice, m = P.lattice, P.m
+    ring = P.arrangement.ring
+    lams = {}
+    for flat in lattice.flats:
+        lam = lams[flat.id] = lam_by_hnf(P, flat.id)
+        assert P.lam(flat.id) == lam, flat
+        for _ in range(2):
+            y = [rng.randrange(m) for _ in range(lattice.D)]
+            assert P.canon(flat.id, y) == tuple(zl.reduce_mod(y, *lam)), y
+            assert P.tau(flat.id, y) == tau_by_kernel(ring, lam, y), y
+    layers = odd_layers = 0
+    for z in P.layers:
+        if not any(z.y):
+            continue
+        flat = P.flat(z)
+        layers += 1
+        odd_layers += not flat.unit_pivots
+        assert (P.tau(z.flat_id, z.y)
+                == tau_by_kernel(ring, lams[z.flat_id], z.y)), z
+        moved = [a + m * rng.randint(-3, 3) for a in z.y]
+        for row in flat.lat:
+            f = rng.randint(-3, 3)
+            moved = [a + f * b for a, b in zip(moved, row)]
+        assert P.canon(z.flat_id, moved) == z.y, z
+        for x in flats_above(lattice, flat):
+            assert (P.canon(x.id, z.y)
+                    == tuple(zl.reduce_mod(z.y, *lams[x.id]))), (x, z)
+    odd = sum(not f.unit_pivots for f in lattice.flats)
+    return len(lattice.flats), odd, layers, odd_layers
+
+
 def annihilator_and_J(P, z):
     """(tau, J) of a layer by linear algebra alone, zero layers included.
 
@@ -161,7 +226,7 @@ def annihilator_and_J(P, z):
     if deg == 2:
         rows.append([c for i in range(0, len(y), 2)
                      for c in ring.omega_mul((y[i], y[i + 1]))])
-    basis, _ = P.lam(z.flat_id)
+    basis, _ = lam_by_hnf(P, z.flat_id)
     ker = left_kernel_hnf(rows + [list(r) for r in basis])
     tau = Ideal(ring, zl.hnf([k[:deg] for k in ker])[0])
     yc = vec_mat(y, P.lattice.C)

@@ -75,6 +75,47 @@ def test_constituents_json_roundtrip(nonprincipal_file):
     assert q == cq.constituents(A)
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_constituents_factor_the_period_alone(flags, tmp_path, monkeypatch,
+                                              nonprincipal_file):
+    # each kappa's exponents are read off the period's primes: after the
+    # period's norm no integer is factored, and every printed form is the
+    # one a fresh factorization gives
+    from dedarr import charquasi as cq
+    from dedarr import ring as rg
+    from dedarr.rootsys import builtin
+    h3 = tmp_path / "h3.json"
+    h3.write_text(json.dumps({
+        "ring": {"type": "quadratic", "d": 5},
+        "columns": [[list(x) for x in c]
+                    for c in builtin("H3").arrangement.columns]}))
+    real = rg._factor_int
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    for path in (str(h3), nonprincipal_file):
+        A = cq.arrangement_from_json(json.load(open(path, encoding="utf-8")))
+        rho = cq.lcm_period(A)
+        labels = [rg.format_factored(rg.Ideal(A.ring, k.hnf))
+                  for k in rho.divisors()]
+        monkeypatch.setattr(rg, "_factor_int", spy)
+        calls.clear()
+        rc, text = run(["constituents", path] + flags)
+        monkeypatch.setattr(rg, "_factor_int", real)
+        assert rc == 0
+        assert calls[calls.index(rho.norm) + 1:] == [], calls
+        if flags:
+            got = [c["kappa_factored"]
+                   for c in json.loads(text)["constituents"]]
+        else:
+            got = [line[2:line.index("]")]
+                   for line in text.splitlines()[1:]]
+        assert got == labels
+
+
 def test_determinism(nonprincipal_file):
     rc1, t1 = run(["constituents", nonprincipal_file])
     rc2, t2 = run(["constituents", nonprincipal_file])

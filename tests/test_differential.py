@@ -9,13 +9,17 @@ first row (rank-deficient inputs).
 """
 
 import collections
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dedarr import charquasi as cq
+from dedarr import layers as ly
 from dedarr import oracle
 from dedarr import ring as rg
+
+from conftest import check_layer_algebra
 
 RINGS = [rg.rational_integers(), rg.quadratic(-1), rg.quadratic(-5),
          rg.quadratic(5)]
@@ -77,3 +81,27 @@ def test_layer_path_subset_path_and_oracle_agree():
 
     agree()
     assert all(kept[ring] >= MIN_PER_RING for ring in RINGS), kept
+
+
+def test_layer_algebra_matches_elimination():
+    """``lam``, ``canon`` and ``tau`` agree with elimination on the drawn
+    arrangements of every ring, flats with a pivot above 1 included."""
+    kept = collections.Counter()
+    odd = collections.Counter()
+    rng = random.Random(22)
+
+    @settings(derandomize=True, deadline=None, max_examples=EXAMPLES,
+              database=None)
+    @given(arrangements())
+    def agree(A):
+        rho = cq.lcm_period(A)
+        assume(rho.least_integer() <= MAX_M)
+        _, flats, _, layers = check_layer_algebra(ly.layer_poset(A, rho), rng)
+        kept[A.ring] += 1
+        odd["flats"] += flats
+        odd["layers"] += layers
+
+    agree()
+    assert all(kept[ring] >= MIN_PER_RING for ring in RINGS), kept
+    # 235 flats with a pivot above 1, holding 238 nonzero layers
+    assert odd["flats"] >= 100 and odd["layers"] >= 100, odd

@@ -12,10 +12,11 @@ from dedarr import layers as ly
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import (annihilator_and_J, bit_set, determinant_coset_count,
-                      exhaustive_layer_poset, finders_by_sub_arrangement,
-                      flats_above, hasse_covers_by_triples, invariant_factors,
-                      layer_digest, m_value, mobius_by_recursion,
+from conftest import (annihilator_and_J, bit_set, check_layer_algebra,
+                      determinant_coset_count, exhaustive_layer_poset,
+                      finders_by_sub_arrangement, flats_above,
+                      hasse_covers_by_triples, invariant_factors,
+                      lam_by_hnf, layer_digest, m_value, mobius_by_recursion,
                       rand_small_arrangement, rank_over_K)
 
 Z = rg.rational_integers()
@@ -274,17 +275,38 @@ def test_layer_digests_match_recorded_hashes():
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == expected
 
 
+def test_planted_tau_fault_fails_the_layer_digests(monkeypatch):
+    # the digests pin tau: an annihilator that is always the period must
+    # fail them
+    monkeypatch.setattr(ly.LayerPoset, "tau",
+                        lambda self, flat_id, y: self.period)
+    with pytest.raises(AssertionError):
+        test_layer_digests_match_recorded_hashes()
+
+
+def test_layer_algebra_matches_elimination(nonprincipal_arrangement):
+    # lam, canon and tau are read off a flat's own HNF when its pivots are
+    # all 1, and eliminated otherwise; both must give what elimination
+    # gives, and the cases reach flats with a pivot above 1: 34 of
+    # H4[:30]'s, and the nonprincipal line, which holds nonzero layers
+    h4 = rootsys.builtin("H4").arrangement
+    rng = random.Random(21)
+    got = [check_layer_algebra(ly.layer_poset(A), rng)
+           for A in (rootsys.builtin("H3").arrangement,
+                     cq.Arrangement(h4.ring, h4.columns[:30]),
+                     nonprincipal_arrangement)]
+    assert got == [(48, 1, 15, 0), (552, 34, 295, 0), (2, 1, 3, 3)]
+
+
 def test_lam_matches_the_full_stack(gaussian_arrangement,
                                     nonprincipal_arrangement):
-    # lam leaves out m*e_p at the flat's unit pivots; the HNF must be the
+    # lam is written down off a flat whose pivots are all 1, and leaves
+    # out m*e_p at the unit pivots of any other flat; the HNF must be the
     # one of the flat's rows with every m*e_r
     for A in rule_cases(gaussian_arrangement, nonprincipal_arrangement):
         P = ly.layer_poset(A)
-        D, m = P.lattice.D, P.m
         for flat in P.lattice.flats:
-            rows = [list(r) for r in flat.lat] + [
-                [m if c == r else 0 for c in range(D)] for r in range(D)]
-            assert P.lam(flat.id) == ly.zl.hnf(rows)
+            assert P.lam(flat.id) == lam_by_hnf(P, flat.id)
 
 
 def test_refinements_built_only_where_needed(gaussian_arrangement,

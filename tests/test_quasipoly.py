@@ -243,3 +243,26 @@ def test_constituent_keys_must_be_the_divisors():
     for consts in bad:
         with pytest.raises(ValueError, match="period divisors"):
             qp.QuasiPolynomial(Z5, PQ, consts)
+
+
+def test_constituents_list_the_divisors_once(monkeypatch):
+    # the period's divisors are multiplied out once per constituents call,
+    # by its caller: QuasiPolynomial sorts and checks the keys it is given
+    from dedarr import rootsys
+    h3 = rootsys.builtin("H3").arrangement
+    real = rg.Ideal.divisors
+    calls = []
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(rg.Ideal, "divisors", spy)
+    got = []
+    for path in ("layers", "subset"):
+        calls.clear()
+        q = cq.constituents(h3, path=path)
+        assert len(calls) == 1, path
+        got.append(list(q.constituents.items()))
+    assert got[0] == got[1]
+    assert [k for k, _ in got[0]] == real(q.period)

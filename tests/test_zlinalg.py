@@ -175,6 +175,23 @@ def test_saturate_contains_and_same_rank():
         assert zl.hnf(saturate(sat))[0] == sb
 
 
+def test_annihilator_mod_matches_the_kernel():
+    # the pairs (a, b) with a*u + b*w in m Z^k are the first two
+    # coordinates of the kernel of [u; w; m*I]
+    rng = random.Random(9)
+    for _ in range(2000):
+        k = rng.randint(0, 5)
+        m = rng.choice([1, 2, 4, 6, 12, 30, rng.randint(1, 200)])
+        u, w = rand_matrix(rng, 2, k, bound=rng.choice([1, 3, 2 * m]))
+        if k:
+            ker = left_kernel_hnf([u, w] + [
+                [m if c == r else 0 for c in range(k)] for r in range(k)])
+            ref = tuple(tuple(r) for r in zl.hnf([x[:2] for x in ker])[0])
+        else:
+            ref = ((1, 0), (0, 1))
+        assert zl.annihilator_mod(u, w, m) == ref, (u, w, m)
+
+
 def test_coset_reps_counts_and_distinct():
     rng = random.Random(8)
     for _ in range(100):
