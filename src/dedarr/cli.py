@@ -20,7 +20,8 @@ from . import charquasi as cq
 from . import layers as ly
 from . import oracle
 from . import rootsys
-from .errors import BudgetError, InputError, InternalCheckError
+from .errors import (BudgetError, BudgetExceeded, InputError,
+                     InternalCheckError)
 from .quasipoly import poly_to_str
 from .ring import Ideal, format_factored, ideals_of_norm_up_to
 
@@ -125,6 +126,13 @@ def cmd_layers(args, out):
     return EXIT_OK
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _default_verify_bound(ring, ell):
     """The largest norm bound whose ideals' grids fit the oracle budget.
 
@@ -143,24 +151,24 @@ def _default_verify_bound(ring, ell):
 
 def cmd_verify(args, out):
     A = _load_arrangement(args.file)
+    fits = _default_verify_bound(A.ring, A.ell)
+    bound = fits if args.max_norm is None else args.max_norm
+    if bound > fits:
+        raise BudgetExceeded(
+            f"--max-norm {bound}: the largest bound within the oracle's "
+            f"budget of {oracle.DEFAULT_BUDGET} grid points is {fits}")
     q = cq.constituents(A)
-    bound = args.max_norm
-    if bound is None:
-        bound = _default_verify_bound(A.ring, A.ell)
+    ideals = ideals_of_norm_up_to(A.ring, bound)
     failures = 0
-    checked = 0
-    for a in ideals_of_norm_up_to(A.ring, bound):
-        if a.norm ** A.ell > oracle.DEFAULT_BUDGET:
-            continue
+    for a in ideals:
         expect = q.evaluate(a)
         got = oracle.brute_count_complement(A, a)
         status = "ok" if expect == got else "MISMATCH"
         if expect != got:
             failures += 1
-        checked += 1
         out.write(f"N={a.norm} {format_factored(a)}: "
                   f"eval={expect} oracle={got} {status}\n")
-    out.write(f"verified {checked} ideals, {failures} mismatches\n")
+    out.write(f"verified {len(ideals)} ideals, {failures} mismatches\n")
     if failures:
         raise InternalCheckError(f"{failures} oracle mismatches")
     return EXIT_OK
@@ -244,7 +252,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="oracle sweep over small ideals")
     p.add_argument("file")
-    p.add_argument("--max-norm", type=int, default=None)
+    p.add_argument("--max-norm", type=_positive_int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("minimality", help="minimum-period certificate")

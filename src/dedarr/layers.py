@@ -425,32 +425,18 @@ class LayerPoset:
         return self.lattice.flats[layer.flat_id]
 
     def lam(self, flat_id):
-        """(HNF basis, pivots) of the flat's lattice plus m Z^D.
-
-        With every pivot of the flat's basis 1, the HNF is that basis with
-        its other entries reduced mod m, plus m*e_c at each column c that
-        is no pivot: the rows are in echelon order, and the entries above
-        a pivot are in [0, 1) or [0, m).
-        """
+        """(HNF basis, pivots) of the flat's lattice plus m Z^D."""
         if flat_id not in self._lam:
             flat = self.lattice.flats[flat_id]
             D, m = self.lattice.D, self.m
-            if flat.unit_pivots:
-                rows = [[m if k == c else 0 for k in range(D)]
-                        for c in range(D)]
-                for row, p in zip(flat.lat, flat.pivots):
-                    rows[p] = [x % m for x in row]
-                    rows[p][p] = 1  # also when m = 1
-                self._lam[flat_id] = (rows, list(range(D)))
-            else:
-                # m*e_p for a unit pivot p is m times the flat's row there,
-                # less the m*e_c with c > p
-                unit = {p for row, p in zip(flat.lat, flat.pivots)
-                        if row[p] == 1}
-                rows = [list(r) for r in flat.lat] + \
-                    [[m if c == r else 0 for c in range(D)]
-                     for r in range(D) if r not in unit]
-                self._lam[flat_id] = zl.hnf(rows)
+            # m*e_p for a unit pivot p is m times the flat's row there,
+            # less the m*e_c with c > p
+            unit = {p for row, p in zip(flat.lat, flat.pivots)
+                    if row[p] == 1}
+            rows = [list(r) for r in flat.lat] + \
+                [[m if c == r else 0 for c in range(D)]
+                 for r in range(D) if r not in unit]
+            self._lam[flat_id] = zl.hnf(rows)
         return self._lam[flat_id]
 
     def coset_counts(self, flat_ids):

@@ -18,12 +18,6 @@ def poly_eval(coeffs, t):
     return acc
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n))
-
-
 def poly_to_str(coeffs, var="t"):
     """Deterministic human-readable form, highest degree first."""
     terms = []
@@ -71,10 +65,6 @@ class QuasiPolynomial:
         self.constituents = {k: tuple(constituents[k])
                              for k in sorted(constituents, key=Ideal.sort_key)}
 
-    @classmethod
-    def constant_zero(cls, ring):
-        return cls(ring, Ideal.unit(ring), {Ideal.unit(ring): (0,)})
-
     def divisors(self):
         return list(self.constituents)
 
@@ -105,27 +95,10 @@ class QuasiPolynomial:
             raise RingMismatch("ideal from a different ring")
         return poly_eval(self.constituent(a), a.norm)
 
-    def __add__(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch("cannot add across rings")
-        period = self.period.intersect(other.period)
-        consts = {}
-        for kappa in period.divisors():
-            consts[kappa] = poly_add(self.constituent(kappa),
-                                     other.constituent(kappa))
-        return QuasiPolynomial(self.ring, period, consts)
-
     def __eq__(self, other):
         return (isinstance(other, QuasiPolynomial)
                 and self.ring == other.ring and self.period == other.period
                 and self.constituents == other.constituents)
-
-    def with_period(self, period):
-        """Reindex to a multiple of the current period."""
-        if not self.period.divides(period):
-            raise ValueError("new period must be a multiple")
-        consts = {k: self.constituent(k) for k in period.divisors()}
-        return QuasiPolynomial(self.ring, period, consts)
 
     def fibre_witness(self, p):
         """The first divisor kappa, in divisor order, with

@@ -536,6 +536,8 @@ def _primes_above(ring, p):
 
 def ideals_of_norm_up_to(ring, bound):
     """All nonzero ideals of norm <= bound, sorted by (norm, HNF)."""
+    if bound < 1:
+        return []
     primes = []
     for p in range(2, bound + 1):
         if _is_prime_int(p):

@@ -9,7 +9,7 @@ from dedarr import layers as ly
 from dedarr import ring as rg
 from dedarr import zlinalg as zl
 from dedarr.errors import NonIntegralQuotient
-from dedarr.quasipoly import ring_to_json
+from dedarr.quasipoly import QuasiPolynomial, ring_to_json
 from dedarr.ring import Ideal
 
 
@@ -48,6 +48,12 @@ def rand_small_arrangement(rng, ring, ell_max=3, n_max=4, bound=3):
             cols.append(col)
         if ok:
             return cq.Arrangement(ring, cols)
+
+
+def inflate(q, period):
+    """q restated with the multiple ``period`` of its period."""
+    consts = {k: q.constituent(k) for k in period.divisors()}
+    return QuasiPolynomial(q.ring, period, consts)
 
 
 def flats_above(lattice, flat):
@@ -149,8 +155,8 @@ def exhaustive_layer_poset(A, period=None, finds=None):
 def lam_by_hnf(P, flat_id):
     """(HNF, pivots) of the flat's lattice plus m Z^D, by elimination.
 
-    ``LayerPoset.lam`` writes it down off the flat's basis when every
-    pivot is 1; this is the HNF of the basis with every m*e_r.
+    ``LayerPoset.lam`` leaves out m*e_p at the flat's unit pivots; this is
+    the HNF of the basis with every m*e_r.
     """
     D, m = P.lattice.D, P.m
     rows = [list(r) for r in P.lattice.flats[flat_id].lat] + [

@@ -171,6 +171,48 @@ def test_verify_prints_fresh_factorizations(gaussian_file):
     assert heads == fresh
 
 
+@pytest.fixture()
+def z_plane_file(tmp_path):
+    path = tmp_path / "z_plane.json"
+    path.write_text(json.dumps({"ring": {"type": "Z"},
+                                "columns": [[1, 2], [3, 1]]}))
+    return str(path)
+
+
+# the default verify bound of an ell = 2 file over Z: the grids of the
+# ideals up to norm 310 hold 9,978,435 points, up to 311 over 10^7
+Z_PLANE_BOUND = 310
+
+
+def test_verify_bound_past_the_budget_exits_3(z_plane_file, capsys):
+    # a --max-norm past the default bound is refused before any
+    # constituent or oracle work, naming the bound that fits
+    start = time.monotonic()
+    rc, text = run(["verify", z_plane_file, "--max-norm", "100000"])
+    assert rc == 3 and text == ""
+    assert time.monotonic() - start < 5
+    err = capsys.readouterr().err
+    assert "--max-norm 100000" in err and f" is {Z_PLANE_BOUND}" in err
+    rc, text = run(["verify", z_plane_file, "--max-norm",
+                    str(Z_PLANE_BOUND + 1)])
+    assert rc == 3 and text == ""
+
+
+def test_verify_at_the_default_bound_is_the_default(z_plane_file):
+    rc, default = run(["verify", z_plane_file])
+    assert rc == 0
+    assert default.endswith(
+        f"verified {Z_PLANE_BOUND} ideals, 0 mismatches\n")
+    assert run(["verify", z_plane_file, "--max-norm",
+                str(Z_PLANE_BOUND)]) == (0, default)
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_verify_bound_below_one_exits_2(bound, z_plane_file):
+    rc, text = run(["verify", z_plane_file, "--max-norm", bound])
+    assert rc == 2 and text == ""
+
+
 def test_layers_dot_over_budget_prints_nothing(tmp_path):
     # 1002 layers: the cover test's square passes the Hasse budget of 10^6
     path = tmp_path / "thousand.json"

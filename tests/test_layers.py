@@ -300,8 +300,7 @@ def test_layer_algebra_matches_elimination(nonprincipal_arrangement):
 
 def test_lam_matches_the_full_stack(gaussian_arrangement,
                                     nonprincipal_arrangement):
-    # lam is written down off a flat whose pivots are all 1, and leaves
-    # out m*e_p at the unit pivots of any other flat; the HNF must be the
+    # lam leaves out m*e_p at the flat's unit pivots; the HNF must be the
     # one of the flat's rows with every m*e_r
     for A in rule_cases(gaussian_arrangement, nonprincipal_arrangement):
         P = ly.layer_poset(A)

@@ -483,6 +483,13 @@ def test_ideals_of_norm_up_to():
     assert sorted(set(norms)) == [1, 4, 5, 9, 11, 16, 19, 20]
 
 
+def test_ideals_of_norm_up_to_below_one_is_empty():
+    # the unit ideal has norm 1, so a bound below 1 admits no ideal
+    for ring in (Z, ZI):
+        assert rg.ideals_of_norm_up_to(ring, 0) == []
+        assert rg.ideals_of_norm_up_to(ring, -3) == []
+
+
 def test_ideals_of_norm_up_to_keep_their_factorization():
     # the factorization each ideal is built from is the one factor()
     # computes from scratch on an ideal with the same HNF
