@@ -134,31 +134,36 @@ def _positive_int(text):
 
 
 def _default_verify_bound(ring, ell):
-    """The largest norm bound whose ideals' grids fit the oracle budget.
+    """The largest norm bound whose ideals' grids fit the oracle budget,
+    and every ideal up to a norm past it, sorted by (norm, HNF).
 
     A grid at the ideal a holds N(a)^ell points; the bound admits ideals
-    by increasing norm while the total stays within the budget.
+    by increasing norm while the total stays within the budget.  Over Z
+    the bound is near ((ell + 1) * budget)^(1 / (ell + 1)), so twice that
+    is one enumeration there and on most quadratic rings; past it the cap
+    doubles.
     """
-    cap = 2
+    cap = 2 * round(((ell + 1) * oracle.DEFAULT_BUDGET) ** (1 / (ell + 1)))
     while True:
         total = 0
-        for a in ideals_of_norm_up_to(ring, cap):
+        ideals = ideals_of_norm_up_to(ring, cap)
+        for a in ideals:
             total += a.norm ** ell
             if total > oracle.DEFAULT_BUDGET:
-                return a.norm - 1
+                return a.norm - 1, ideals
         cap *= 2
 
 
 def cmd_verify(args, out):
     A = _load_arrangement(args.file)
-    fits = _default_verify_bound(A.ring, A.ell)
+    fits, ideals = _default_verify_bound(A.ring, A.ell)
     bound = fits if args.max_norm is None else args.max_norm
     if bound > fits:
         raise BudgetExceeded(
             f"--max-norm {bound}: the largest bound within the oracle's "
             f"budget of {oracle.DEFAULT_BUDGET} grid points is {fits}")
     q = cq.constituents(A)
-    ideals = ideals_of_norm_up_to(A.ring, bound)
+    ideals = [a for a in ideals if a.norm <= bound]
     failures = 0
     for a in ideals:
         expect = q.evaluate(a)

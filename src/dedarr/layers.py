@@ -86,12 +86,19 @@ class FlatLattice:
     the flat count is held to LAYER_BUDGET, which the layer path could
     never pass.
 
+    The Moebius values follow Weisner's theorem on the geometric lattice
+    below each flat X (Weisner 1935; Stanley, EC1, Cor. 3.9.3): for a
+    hyperplane a of X, mu(X) = -sum of mu(Y) over the covers Y of X that
+    a does not hold.  Any hyperplane of X may be a, but one a must serve
+    the whole sum, since it picks the covers summed; a is fixed as the
+    lowest bit of J(X).  Flat ids go level by level, so one pass in id
+    order has the values of a flat's covers before the flat.
+
     The layer path reaches the flats of a sub-arrangement through
     ``sub_top``, which gives, per set of columns, the Moebius value at the
     top and the coatoms.  The interval below a flat Y is the
     sub-arrangement J(Y), so the main walk's value at Y and Y's covers
-    answer J(Y) at once; any other set of columns is walked from the
-    ambient flat through ``children``.
+    answer J(Y) at once.
     """
 
     def __init__(self, arrangement):
@@ -108,14 +115,17 @@ class FlatLattice:
         self.covers = []  # flat id -> ids of the flats one codim up holding it
         self.children = []  # flat id -> ids of the flats one codim down in it
 
-        self._add_flat(zl.identity(D), list(range(D)))
+        self._add_flat(tuple(map(tuple, zl.identity(D))), list(range(D)))
         level = [0]
         while level:
-            # the level's flats by the lowest bit of their J, 0 for J empty
-            by_low = {}
-            for fid in level:
+            # bit p of masks[j] is set when hyperplane j holds level[p]
+            masks = [0] * A.n
+            for p, fid in enumerate(level):
                 bits = self.flats[fid].Jbits
-                by_low.setdefault(bits & -bits, []).append(fid)
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    masks[low.bit_length() - 1] |= 1 << p
             new_ids = []
             for fid in sorted(level, key=lambda i: self.flats[i].lat):
                 flat = self.flats[fid]
@@ -130,19 +140,24 @@ class FlatLattice:
                     if known >> j & 1:
                         continue
                     basis, pivots = self._cut(flat, j)
-                    if tuple(tuple(r) for r in basis) in self._by_key:
+                    key = tuple(tuple(r) for r in basis)
+                    if key in self._by_key:
                         raise CertificateFailure(
                             f"flat {fid} cut by hyperplane {j} is a known "
                             "flat that no earlier cut registered")
-                    got = self._add_flat(basis, pivots)
+                    got = self._add_flat(key, pivots)
                     new_ids.append(got)
-                    self._register(by_low, self.flats[got])
+                    self._register((level, masks), self.flats[got])
                     known |= self.flats[got].Jbits
             level = new_ids
-        mob, _ = self._mobius_on((1 << A.n) - 1)
-        self.mobius = [mob[i] for i in range(len(self.flats))]
-        self._sub_top = {f.Jbits: (self.mobius[f.id], self.covers[f.id])
-                         for f in self.flats}
+        flats, covers = self.flats, self.covers
+        self.mobius = mobius = [1]
+        for f in flats[1:]:
+            a = f.Jbits & -f.Jbits
+            mobius.append(-sum(mobius[y] for y in covers[f.id]
+                               if not flats[y].Jbits & a))
+        self._sub_top = {f.Jbits: (mobius[f.id], covers[f.id])
+                         for f in flats}
 
     def _cut(self, flat, j):
         """(HNF basis, pivots) of the saturated lattice of flat cap H_j.
@@ -158,48 +173,45 @@ class FlatLattice:
         work = [b + list(r) for b, r in zip(block, flat.lat)]
         return zl.hnf([r[deg:] for r in zl._echelon(work, deg)[2]])
 
-    def _register(self, by_low, flat):
+    def _register(self, level, flat):
         """Record flat among the children of every X of the level it lies in.
 
         Those X are the flats it covers, and flat is X cap H_i for each i
-        in J(flat) - J(X).  ``by_low`` lists the level's flats by the
-        lowest bit of their J, so only those whose lowest bit is in J(flat)
-        are tested, and those with J empty (the ambient flat), which every
-        flat lies in.
+        in J(flat) - J(X).  ``level`` is the level's flat ids and one mask
+        per column over their positions; X lies outside every mask of a
+        column not in J(flat), the ambient flat (J empty) in none.
         """
+        ids, masks = level
         bits = flat.Jbits
+        out = 0
+        for j, mask in enumerate(masks):
+            if not bits >> j & 1:
+                out |= mask
         covers = []
-        lows = [0]
-        rest = bits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            lows.append(low)
-        for low in lows:
-            for xid in by_low.get(low, ()):
-                x_bits = self.flats[xid].Jbits
-                if x_bits & bits == x_bits:
-                    covers.append(xid)
-                    self.children[xid].append(flat.id)
+        free = ~out & ((1 << len(ids)) - 1)
+        while free:
+            low = free & -free
+            free ^= low
+            xid = ids[low.bit_length() - 1]
+            covers.append(xid)
+            self.children[xid].append(flat.id)
         self.covers[flat.id] = tuple(covers)
 
-    def _add_flat(self, basis, pivots):
+    def _add_flat(self, key, pivots):
         A = self.arrangement
         deg = A.ring.degree
-        key = tuple(tuple(r) for r in basis)
-        # basis*C is below D*max|basis|*max|C|; an empty basis still needs
-        # a dtype that holds C
-        bmax = max(max(map(max, basis)), -min(map(min, basis))) \
-            if basis else 1
+        # key*C is below D*max|key|*max|C|; an empty basis still needs a
+        # dtype that holds C
+        bmax = max(max(map(max, key)), -min(map(min, key))) if key else 1
         dtype = zl.exact_dtype(self.D * bmax * self._cmax)
         C = self._arrays.get(dtype)
         if C is None:
             C = self._arrays[dtype] = np.array(
                 self.C, dtype=dtype).reshape(self.D, deg * A.n)
-        image = np.array(basis, dtype=dtype).reshape(len(basis), self.D) @ C
+        image = np.array(key, dtype=dtype).reshape(len(key), self.D) @ C
         # j is in J when the image's block for column j vanishes
-        nonzero = (image != 0).reshape(len(basis), A.n, deg).any(axis=(0, 2))
-        dim = len(basis) // deg
+        nonzero = (image != 0).reshape(len(key), A.n, deg).any(axis=(0, 2))
+        dim = len(key) // deg
         fid = len(self.flats)
         flat = Flat(fid, key, list(pivots), image, _mask_bits(~nonzero), dim,
                     A.ell - dim)
@@ -213,45 +225,6 @@ class FlatLattice:
                 f"at codim {flat.codim}, over the layer budget of "
                 f"{LAYER_BUDGET} (every flat carries a zero layer)")
         return fid
-
-    def _mobius_on(self, col_bits):
-        """Moebius values on the flats of the sub-arrangement on col_bits.
-
-        Its flats are the flats reached from the ambient one by steps from
-        X to the children of X whose J meets col_bits - J(X), and its
-        covers are those steps.  Each level is reached from the one before,
-        so the flats above a flat (its covers and the flats above those,
-        kept as bits of flat ids) are complete before its value is summed.
-        The last level is the top alone, and the level before it holds the
-        coatoms.  Returns ({flat id: mu}, coatom ids).
-        """
-        flats, children = self.flats, self.children
-        above = {0: 0}
-        mob = {}
-        coatoms, level = (), [0]
-        while True:
-            nxt = []
-            for fid in level:
-                bits = above[fid]
-                up = bits | 1 << fid
-                s = 0
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    s += mob[low.bit_length() - 1]
-                mob[fid] = -s if fid else 1
-                cols = col_bits & ~flats[fid].Jbits
-                for yid in children[fid]:
-                    if not flats[yid].Jbits & cols:
-                        continue
-                    if yid in above:
-                        above[yid] |= up
-                    else:
-                        above[yid] = up
-                        nxt.append(yid)
-            if not nxt:
-                return mob, tuple(coatoms)
-            coatoms, level = level, nxt
 
     def child(self, fid, j):
         """The id of the flat X cap H_j for j outside J(X), X = flats[fid]."""
@@ -269,18 +242,39 @@ class FlatLattice:
     def sub_top(self, col_bits):
         """(mu, coatom ids) at the top of the sub-arrangement on col_bits.
 
-        The flats of a column-subset arrangement are main-lattice flats,
-        reachable through ``children``, so no new linear algebra happens
-        here.  Every flat's own J is answered from the main walk and the
-        flat's covers; any other set of columns is walked once and kept.
-        ``LayerPoset.finders`` and ``fill_mobius`` read the sub-arrangement
-        J(L) of a layer here.
+        No linear algebra happens here.  Every flat's own J is answered
+        from the main walk and the flat's covers.  For any other set S of
+        columns, the top T is reached from the ambient flat through
+        ``child``.  The coatoms are the covers Y of T that S cap J(Y)
+        spans: those sets lie in no other cover's J, and every other
+        cover's set lies in a coatom's, so they are the largest.  Weisner's
+        rule, a fixed as the lowest column of S, sums the value at the top
+        of S cap J(Y) over the coatoms Y that a misses; each value is kept.
+        ``LayerPoset.finders`` and ``fill_mobius`` read J(L) here.
         """
         got = self._sub_top.get(col_bits)
         if got is None:
-            mob, coatoms = self._mobius_on(col_bits)
-            # the top is the deepest flat reached, which has the largest id
-            got = self._sub_top[col_bits] = (mob[max(mob)], coatoms)
+            flats = self.flats
+            top, rest = 0, col_bits
+            while rest:
+                top = self.child(top, (rest & -rest).bit_length() - 1)
+                rest = col_bits & ~flats[top].Jbits
+            # a set that spans Y holds at least codim Y columns
+            need = flats[top].codim - 1
+            cuts = []
+            for yid in self.covers[top]:
+                cols = col_bits & flats[yid].Jbits
+                if cols.bit_count() >= need:
+                    cuts.append((cols, yid))
+            coatoms = []
+            for cols, yid in sorted(cuts, key=lambda c: -c[0].bit_count()):
+                if all(cols & ~c for c, _ in coatoms):
+                    coatoms.append((cols, yid))
+            a = col_bits & -col_bits
+            mu = -sum(self.sub_top(cols)[0] for cols, yid in coatoms
+                      if not flats[yid].Jbits & a)
+            got = self._sub_top[col_bits] = (
+                mu, tuple(yid for _, yid in coatoms))
         return got
 
 
@@ -592,8 +586,8 @@ class LayerPoset:
     def fill_mobius(self):
         """Set each layer's mu by the localization in the class docstring.
 
-        mu(L) is read off the memoised walk of the sub-arrangement J(L),
-        the one ``finders`` reads its coatoms from.  Then sum mu per
+        mu(L) is read off ``FlatLattice.sub_top`` of the sub-arrangement
+        J(L), where ``finders`` reads its coatoms.  Then sum mu per
         (dim, tau) into ``mobius_sums``.  Keys whose sum is 0 stay: the
         minimality certificate takes the lcm over every tau.
         """

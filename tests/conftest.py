@@ -84,6 +84,49 @@ def mobius_by_recursion(P):
     return mu
 
 
+def mobius_on(lattice, col_bits):
+    """Moebius values on the flats of the sub-arrangement on col_bits.
+
+    Its flats are the flats reached from the ambient one by steps from
+    X to the children of X whose J meets col_bits - J(X), and its
+    covers are those steps.  Each level is reached from the one before,
+    so the flats above a flat (its covers and the flats above those,
+    kept as bits of flat ids) are complete before its value is summed.
+    The last level is the top alone, and the level before it holds the
+    coatoms.  Returns ({flat id: mu}, coatom ids); the top is the
+    deepest flat reached, which has the largest id.  It sums over every
+    flat above, with no Weisner rule: the reference ``FlatLattice.mobius``
+    and ``sub_top`` are checked against.
+    """
+    flats, children = lattice.flats, lattice.children
+    above = {0: 0}
+    mob = {}
+    coatoms, level = (), [0]
+    while True:
+        nxt = []
+        for fid in level:
+            bits = above[fid]
+            up = bits | 1 << fid
+            s = 0
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                s += mob[low.bit_length() - 1]
+            mob[fid] = -s if fid else 1
+            cols = col_bits & ~flats[fid].Jbits
+            for yid in children[fid]:
+                if not flats[yid].Jbits & cols:
+                    continue
+                if yid in above:
+                    above[yid] |= up
+                else:
+                    above[yid] = up
+                    nxt.append(yid)
+        if not nxt:
+            return mob, tuple(coatoms)
+        coatoms, level = level, nxt
+
+
 def bit_set(bits):
     """The indices of the set bits of an int, as a frozenset."""
     return frozenset(j for j in range(bits.bit_length()) if bits >> j & 1)
@@ -177,17 +220,24 @@ def tau_by_kernel(ring, lam, y):
 
 
 def check_layer_algebra(P, rng):
-    """Check ``lam``, ``canon`` and ``tau`` against ``lam_by_hnf``.
+    """Check ``lam``, ``canon`` and ``tau`` against ``lam_by_hnf``, and
+    ``sub_top`` against ``mobius_on``.
 
     Every flat's lam, and its canon and tau at two random points of the
     1/m grid, torsion or not; at every nonzero layer tau, and canon to its
     own flat and every coarser one, on its own flat also of the layer's
-    point moved by a random vector of the flat's lattice plus m Z^D.
+    point moved by a random vector of the flat's lattice plus m Z^D.  At
+    every layer, mu and the set of coatoms of the sub-arrangement J(L).
     Returns (flats, flats with a pivot above 1, nonzero layers, those of
     them on such flats).
     """
     lattice, m = P.lattice, P.m
     ring = P.arrangement.ring
+    for z in P.layers:
+        mu, coatoms = lattice.sub_top(z.Jbits)
+        walked, ref = mobius_on(lattice, z.Jbits)
+        assert mu == walked[max(walked)] == z.mu, z
+        assert set(coatoms) == set(ref), z
     lams = {}
     for flat in lattice.flats:
         lam = lams[flat.id] = lam_by_hnf(P, flat.id)
@@ -291,6 +341,76 @@ def hasse_covers_by_triples(P, chosen):
                        for t in chosen):
                 covers.add((i, k))
     return covers
+
+
+# ---------------------------------------------------------------------------
+# Crystallographic root systems from their Cartan matrices.
+
+
+def cartan_matrix(name):
+    """The Cartan matrix A[i][j] = <alpha_i, alpha_j^vee>, Bourbaki's
+    numbering.
+
+    Every type but D_n and E_n is the chain 1-...-n; D_n joins n-2 to n in
+    place of n-1 to n, and E_n is 1-3-4-...-n with 2 on 4.  The multiple
+    bond, A[i][j] = -2 or -3 with alpha_j the short root, is n-1 => n in
+    B_n, n-1 <= n in C_n, 2 => 3 in F4 and 1 <= 2 in G2.
+    """
+    kind, rank = name[0].upper(), int(name[1:])
+    A = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    chain = [(i, i + 1) for i in range(rank - 1)]
+    if kind == "D":
+        chain[-1] = (rank - 3, rank - 1)
+    elif kind == "E":
+        chain[:2] = [(0, 2), (1, 3)]
+    for i, j in chain:
+        A[i][j] = A[j][i] = -1
+    bond = {"B": (rank - 2, rank - 1, -2), "C": (rank - 1, rank - 2, -2),
+            "F": (1, 2, -2), "G": (1, 0, -3)}
+    if kind in bond:
+        i, j, a = bond[kind]
+        A[i][j] = a
+    return A
+
+
+def cartan_positive_roots(name):
+    """The positive roots of the Cartan matrix, in simple-root coordinates.
+
+    The closure of the simple roots under the simple reflections
+    s_j(v) = v - (sum_i v_i A[i][j]) alpha_j, over Z, keeping the roots
+    whose coordinates are all nonnegative, sorted.
+    """
+    A = cartan_matrix(name)
+    rank = len(A)
+    simple = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    roots, frontier = set(simple), simple
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for j in range(rank):
+                w = list(v)
+                w[j] -= sum(v[i] * A[i][j] for i in range(rank))
+                w = tuple(w)
+                if w not in roots:
+                    roots.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted(v for v in roots if min(v) >= 0)
+
+
+def cartan_arrangement(name):
+    """The Weyl arrangement of the positive roots over Z, one column each."""
+    return cq.Arrangement(rg.rational_integers(),
+                          [[(c,) for c in v] for v in
+                           cartan_positive_roots(name)], name=name)
+
+
+def exponent_polynomial(exponents):
+    """Coefficients, constant first, of prod (t - e) over the exponents."""
+    coeffs = [1]
+    for e in exponents:
+        coeffs = [a - e * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,27 @@ def test_verify_at_the_default_bound_is_the_default(z_plane_file):
                 str(Z_PLANE_BOUND)]) == (0, default)
 
 
+def test_verify_enumerates_the_ideals_once(z_plane_file, gaussian_file,
+                                           monkeypatch):
+    # the ideals admitted by the default bound are the ones swept, filtered
+    # by --max-norm: no second enumeration up to the bound
+    calls = []
+    enumerate_ideals = cli.ideals_of_norm_up_to
+
+    def spy(ring, bound):
+        calls.append(bound)
+        return enumerate_ideals(ring, bound)
+
+    monkeypatch.setattr(cli, "ideals_of_norm_up_to", spy)
+    for argv in (["verify", z_plane_file],
+                 ["verify", z_plane_file, "--max-norm", "40"],
+                 ["verify", gaussian_file, "--max-norm", "9"]):
+        calls.clear()
+        rc, text = run(argv)
+        assert rc == 0 and text.endswith(" 0 mismatches\n")
+        assert len(calls) == 1, (argv, calls)
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_verify_bound_below_one_exits_2(bound, z_plane_file):
     rc, text = run(["verify", z_plane_file, "--max-norm", bound])

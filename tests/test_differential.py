@@ -85,7 +85,9 @@ def test_layer_path_subset_path_and_oracle_agree():
 
 def test_layer_algebra_matches_elimination():
     """``lam``, ``canon`` and ``tau`` agree with elimination on the drawn
-    arrangements of every ring, flats with a pivot above 1 included."""
+    arrangements of every ring, flats with a pivot above 1 included, and
+    ``sub_top`` of every layer's J agrees with the reference walk
+    (``check_layer_algebra``)."""
     kept = collections.Counter()
     odd = collections.Counter()
     rng = random.Random(22)

@@ -12,12 +12,13 @@ from dedarr import layers as ly
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import (annihilator_and_J, bit_set, check_layer_algebra,
-                      determinant_coset_count, exhaustive_layer_poset,
+from conftest import (annihilator_and_J, bit_set, cartan_arrangement,
+                      check_layer_algebra, determinant_coset_count,
+                      exhaustive_layer_poset, exponent_polynomial,
                       finders_by_sub_arrangement, flats_above,
                       hasse_covers_by_triples, invariant_factors,
                       lam_by_hnf, layer_digest, m_value, mobius_by_recursion,
-                      rand_small_arrangement, rank_over_K)
+                      mobius_on, rand_small_arrangement, rank_over_K)
 
 Z = rg.rational_integers()
 ZI = rg.quadratic(-1)
@@ -501,6 +502,17 @@ def test_unregistered_known_flat_is_caught(monkeypatch):
         ly.FlatLattice(rootsys.builtin("H3").arrangement)
 
 
+@pytest.mark.parametrize("name, flats, exponents", [
+    ("F4", 268, (1, 5, 7, 11)), ("E6", 4598, (1, 4, 5, 7, 8, 11))])
+def test_weyl_lattices_from_cartan_matrices(name, flats, exponents):
+    # the Whitney polynomial of a Weyl arrangement is prod (t - e) over
+    # its exponents (Orlik-Solomon); E6's 36 columns, 4,598 flats and the
+    # Weisner sums at each flat run here, E7's in CI
+    lat = ly.FlatLattice(cartan_arrangement(name))
+    assert len(lat.flats) == flats
+    assert lat.characteristic_polynomial() == exponent_polynomial(exponents)
+
+
 def test_whitney_polynomial_matches_first_constituent():
     rng = random.Random(61)
     checked = 0
@@ -641,13 +653,21 @@ def test_sub_top_mobius_of_all_columns_is_bottom_flat():
                 if flat.id else 1
         assert mu == mob[bottom.id]
         # each flat's own columns are answered from the main walk and its
-        # covers; a fresh walk of those columns must agree
+        # covers; conftest's reference walk of those columns must agree
         for flat in lat.flats:
-            walked, top_coatoms = lat._mobius_on(flat.Jbits)
+            walked, top_coatoms = mobius_on(lat, flat.Jbits)
             assert max(walked) == flat.id
             mu, coatoms = lat.sub_top(flat.Jbits)
             assert mu == walked[flat.id] == mob[flat.id]
             assert sorted(coatoms) == sorted(top_coatoms)
+        # any other set of columns recurses on Weisner's rule; the walk
+        # must agree on random subsets of each flat's J too
+        for flat in lat.flats:
+            cols = flat.Jbits & rng.getrandbits(A.n)
+            walked, top_coatoms = mobius_on(lat, cols)
+            mu, coatoms = lat.sub_top(cols)
+            assert mu == walked[max(walked)], (A.columns, cols)
+            assert sorted(coatoms) == sorted(top_coatoms), (A.columns, cols)
 
 
 def test_mobius_sign_alternation():

@@ -3,6 +3,8 @@ import pytest
 from dedarr import rootsys
 from dedarr.errors import UnknownName
 
+from conftest import cartan_positive_roots, exponent_polynomial
+
 
 def test_builtin_metadata():
     for name, rank, n, h in [("H2", 2, 5, 5), ("H3", 3, 15, 10),
@@ -51,13 +53,18 @@ def test_positive_root_counts():
     assert len(rootsys.generated_positive_roots("H4")) == 60
 
 
-def poly_from_roots(roots):
-    coeffs = [1]
-    for r in roots:
-        coeffs = [0] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= r * coeffs[i + 1]
-    return tuple(coeffs)
+@pytest.mark.parametrize("name, count, highest", [
+    ("A3", 6, (1, 1, 1)), ("B3", 9, (1, 2, 2)), ("C3", 9, (2, 2, 1)),
+    ("D4", 12, (1, 2, 1, 1)), ("G2", 6, (3, 2)),
+    ("F4", 24, (2, 3, 4, 2)), ("E6", 36, (1, 2, 2, 3, 2, 1)),
+    ("E7", 63, (2, 2, 3, 4, 3, 2, 1)), ("E8", 120, (2, 3, 4, 6, 5, 4, 3, 2))])
+def test_cartan_positive_roots(name, count, highest):
+    # the reflection closure gives every positive root once, the highest
+    # root the largest
+    roots = cartan_positive_roots(name)
+    assert len(roots) == len(set(roots)) == count
+    assert max(roots, key=sum) == highest
+    assert all(min(v) >= 0 for v in roots)
 
 
 def test_exponents_factor_the_unit_constituent():
@@ -69,6 +76,6 @@ def test_exponents_factor_the_unit_constituent():
         data = rootsys.builtin(name)
         q = cq.constituents(data.arrangement)
         unit = rg.Ideal.unit(data.arrangement.ring)
-        assert q.constituents[unit] == poly_from_roots(exps)
+        assert q.constituents[unit] == exponent_polynomial(exps)
         # exponents pair up to the Coxeter number
         assert sorted(data.coxeter_number - e for e in exps) == exps
