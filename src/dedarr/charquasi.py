@@ -329,6 +329,9 @@ def lcm_period(A):
     ideals.  When r = ell, E_ell = (g) for its one maximal minor g, and d
     contains (g): a basis whose g is a unit or divides the lcm found so
     far forms no ideal.
+
+    This walk serves the subset path and ``dedarr period``; the layer path
+    reads the same ideal off its flat lattice (``FlatLattice.lcm_period``).
     """
     ring = A.ring
     unit = Ideal.unit(ring)
@@ -467,20 +470,24 @@ def _constituents_subset_sum(A, rho):
 
 
 def constituents(A, path="auto"):
-    """The characteristic quasi-polynomial of the arrangement."""
+    """The characteristic quasi-polynomial of the arrangement.
+
+    The subset path takes the lcm period from ``lcm_period``'s minor
+    tables; the layer path (``auto`` past AUTO_SUBSET_MAX_N columns) reads
+    it off the flat lattice it builds anyway, and tables no minor.
+    """
     if path not in ("auto", "subset", "layers"):
         raise ValueError(f"unknown path {path!r}")
     if path == "subset" and A.n > SUBSET_PATH_MAX_N:
         raise PathInfeasible(
             f"subset-sum path needs n <= {SUBSET_PATH_MAX_N}, got {A.n}")
-    rho = lcm_period(A)
     if path == "auto":
         path = "subset" if A.n <= AUTO_SUBSET_MAX_N else "layers"
     if path == "subset":
-        q = _constituents_subset_sum(A, rho)
+        q = _constituents_subset_sum(A, lcm_period(A))
     else:
         from .layers import layer_poset
-        q = layer_poset(A, period=rho).quasi_polynomial()
+        q = layer_poset(A).quasi_polynomial()
     return _monic(q, A.ell)
 
 

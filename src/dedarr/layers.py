@@ -31,6 +31,9 @@ from .quasipoly import QuasiPolynomial
 from .ring import Ideal, format_factored
 
 LAYER_BUDGET = 5 * 10 ** 6
+# the memory a flat lattice may take: E7's 90,408 flats peak near 262 MB,
+# and E8 (120 columns) passes the budget at codim 4 after about 1.6 GB
+FLAT_BUDGET = 3 * 10 ** 5
 HASSE_BUDGET = 10 ** 6  # the square of the most layers a Hasse diagram draws
 
 
@@ -84,7 +87,19 @@ class FlatLattice:
     kernel cuts the flat by hyperplane j, and ``LayerPoset.coset_counts``
     reduces a level's images mod m.  Every flat carries a zero layer, so
     the flat count is held to LAYER_BUDGET, which the layer path could
-    never pass.
+    never pass, and to FLAT_BUDGET, the memory a lattice may take.
+
+    The images also give the lcm period rho (``lcm_period``): it is the
+    intersection of the ideals c_j(Lambda_X), over the coatoms X (the
+    flats one codim above the centre) and j outside J(X), Lambda_X the
+    flat's saturated lattice.  For a basis B and j in B, the flat X of
+    B - j is a coatom, and the components of X's zero layer cut by H_j
+    form a torsor under O / c_j(Lambda_X): x -> x*c_j maps them onto it.
+    In the image M of x -> x*C_B in O^B, s*e_j lies in M exactly when s is
+    in c_j(Lambda_X), so the annihilator d(B) of O^B / M, the last
+    invariant factor, is the intersection of c_j(Lambda_X) over j in B.
+    The pairs (B - j, j) are the pairs (X, j), so the lcm of d(B) over
+    the bases is that intersection.
 
     The Moebius values follow Weisner's theorem on the geometric lattice
     below each flat X (Weisner 1935; Stanley, EC1, Cor. 3.9.3): for a
@@ -219,6 +234,11 @@ class FlatLattice:
         self._by_key[key] = fid
         self.covers.append(())
         self.children.append([])
+        if len(self.flats) > FLAT_BUDGET:
+            raise BudgetExceeded(
+                f"the intersection lattice reached {len(self.flats)} flats "
+                f"at codim {flat.codim}, over the flat budget of "
+                f"{FLAT_BUDGET}")
         if len(self.flats) > LAYER_BUDGET:
             raise BudgetExceeded(
                 f"the intersection lattice reached {len(self.flats)} flats "
@@ -231,6 +251,59 @@ class FlatLattice:
         for yid in self.children[fid]:
             if self.flats[yid].Jbits >> j & 1:
                 return yid
+
+    def lcm_period(self):
+        """The lcm period: c_j(Lambda_X) intersected over the coatoms X and
+        the j outside J(X), by the class docstring.
+
+        The coatoms are the covers of the centre, the last flat.  Block j
+        of a coatom's image spans c_j(Lambda_X), an ideal since Lambda_X is
+        an O-module: its index is the gcd of the block's deg x deg minors,
+        0 for j in J(X) and 1 for the unit ideal.  Over Z the ideal is
+        that gcd.  Over a quadratic order a vector v lies in the block's
+        lattice I exactly when the 2 x 2 minors of v with the block's rows
+        are multiples of I's index, since I + Zv has the gcd of all the
+        minors as its index; so the blocks whose ideal holds the running
+        intersection are screened out in numpy, whatever a block's row
+        count, and only a block that moves the result takes an ``hnf``
+        and ``Ideal.intersect``.  Products stay int64 under
+        ``zl.exact_dtype``'s bound and become Python ints past it.
+        """
+        ring = self.arrangement.ring
+        deg = ring.degree
+        acc = Ideal.unit(ring)
+        coatoms = self.covers[-1]
+        if not coatoms:
+            return acc
+        image = np.stack([self.flats[x].image for x in coatoms])
+        if deg == 1:
+            # one gcd per (coatom, j); a gcd over one entry keeps its sign
+            gcds = np.gcd.reduce(np.abs(image), axis=1)
+            gcds = np.unique(gcds[gcds > 1]).tolist()
+            return Ideal(ring, [[math.lcm(*gcds)]])
+        big = int(np.abs(image).max())
+        if zl.exact_dtype(2 * big * big) is object:
+            image = image.astype(object)
+        # block j of coatom f has the rows (a[f, :, j], b[f, :, j])
+        a, b = image[:, :, 0::2], image[:, :, 1::2]
+        index = np.zeros_like(a[:, 0])
+        for i, t in combinations(range(image.shape[1]), 2):
+            index = np.gcd(index, a[:, i] * b[:, t] - b[:, i] * a[:, t])
+        f, j = np.nonzero(index > 1)
+        a, b, index = a[f, :, j], b[f, :, j], index[f, j]
+        while len(index):
+            rows = list(zip(a[0].tolist(), b[0].tolist()))
+            acc = acc.intersect(Ideal(ring, zl.hnf(rows)[0]))
+            a, b, index = a[1:], b[1:], index[1:]
+            top = max(abs(x) for row in acc.hnf for x in row)
+            if zl.exact_dtype(2 * big * top) is object:
+                a, b = a.astype(object), b.astype(object)
+            # the blocks whose lattice misses a row of acc
+            moves = np.zeros(len(index), dtype=bool)
+            for v0, v1 in acc.hnf:
+                moves |= ((a * v1 - b * v0) % index[:, None] != 0).any(axis=1)
+            a, b, index = a[moves], b[moves], index[moves]
+        return acc
 
     def characteristic_polynomial(self):
         """Whitney-sum characteristic polynomial of the hyperplane poset."""
@@ -686,12 +759,13 @@ class LayerPoset:
 def layer_poset(A, period=None):
     """Build the poset of layers, keeping the period-torsion layers.
 
-    When ``period`` is the lcm period (the default) this is the full
-    poset; a proper divisor of it builds the corresponding torsion
-    subposet, which is the poset of the arrangement over the localized
-    ring whose dead primes were stripped from the period.  The period is
-    factored first, since every reader of the poset needs its primes: a
-    period past the factoring budget fails before any flat is built.
+    When ``period`` is the lcm period (the default, read off the flat
+    lattice by ``FlatLattice.lcm_period``) this is the full poset; a
+    proper divisor of it builds the corresponding torsion subposet, which
+    is the poset of the arrangement over the localized ring whose dead
+    primes were stripped from the period.  The period is factored before
+    any layer, since every reader of the poset needs its primes: a period
+    past the factoring budget fails once the flats are built.
 
     The layers of each level are the components of P cap H_j, for P a
     layer of a flat X of the level above and j outside J(X).  The pair
@@ -714,11 +788,10 @@ def layer_poset(A, period=None):
     constituents are read off one table of mu summed per (dim, tau), built
     by ``fill_mobius``.
     """
-    from .charquasi import lcm_period
-    if period is None:
-        period = lcm_period(A)
-    period.factor()  # an unfactorable period fails before any flat
     lattice = FlatLattice(A)
+    if period is None:
+        period = lattice.lcm_period()
+    period.factor()  # an unfactorable period fails before any layer
     flats = lattice.flats
     poset = LayerPoset(A, period, lattice)
     full = (1 << A.n) - 1

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -48,6 +49,24 @@ def rand_small_arrangement(rng, ring, ell_max=3, n_max=4, bound=3):
             cols.append(col)
         if ok:
             return cq.Arrangement(ring, cols)
+
+
+def seed7_probe(ell, n):
+    """One Z probe of the seed-7 set: 3 x 8, 4 x 10, 4 x 14 and 6 x 16.
+
+    The four are drawn in that order from one generator, entries in
+    [-5, 5] and no zero column, so each depends on the ones before it.
+    """
+    rng = random.Random(7)
+    for shape in [(3, 8), (4, 10), (4, 14), (6, 16)]:
+        cols = []
+        while len(cols) < shape[1]:
+            c = [rng.randint(-5, 5) for _ in range(shape[0])]
+            if any(c):
+                cols.append(c)
+        if shape == (ell, n):
+            return cols
+    raise ValueError((ell, n))
 
 
 def inflate(q, period):

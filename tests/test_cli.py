@@ -1,11 +1,12 @@
 import io
 import json
-import random
 import time
 
 import pytest
 
 from dedarr import cli
+
+from conftest import seed7_probe
 
 
 def run(argv):
@@ -408,29 +409,13 @@ def test_huge_integers_exit_3(tmp_path, capsys):
         assert time.monotonic() - start < 10
 
 
-def seed7_probe(ell, n):
-    """One Z probe of the seed-7 set: 3 x 8, 4 x 10, 4 x 14 and 6 x 16.
-
-    The four are drawn in that order from one generator, entries in
-    [-5, 5] and no zero column, so each depends on the ones before it.
-    """
-    rng = random.Random(7)
-    for shape in [(3, 8), (4, 10), (4, 14), (6, 16)]:
-        cols = []
-        while len(cols) < shape[1]:
-            c = [rng.randint(-5, 5) for _ in range(shape[0])]
-            if any(c):
-                cols.append(c)
-        if shape == (ell, n):
-            return cols
-    raise ValueError((ell, n))
-
-
 def test_unfactorable_period_exits_before_layers_or_walk(tmp_path,
                                                          monkeypatch):
     # the 4 x 14 probe's period has a 702-bit norm, past the factoring
-    # budget: every route must refuse it right after lcm_period, before a
-    # flat is built or the subset walk tables its rank-4 minors
+    # budget.  The subset routes must refuse it right after lcm_period,
+    # before the subset walk tables its rank-4 minors.  The layer routes
+    # read the period off the flat lattice, so they build the flats first,
+    # but must refuse it before any layer is refined, tabling no minor
     from dedarr import charquasi as cq
     from dedarr import layers as ly
     assert seed7_probe(6, 16) == PROBE_6X16
@@ -444,21 +429,24 @@ def test_unfactorable_period_exits_before_layers_or_walk(tmp_path,
         tops.append(top)
         return minor_tables(A, top, exact)
 
-    def no_flats(*args):
-        raise AssertionError("FlatLattice built for an unusable period")
+    def no_layers(*args):
+        raise AssertionError("LayerPoset built for an unusable period")
 
     monkeypatch.setattr(cq, "_minor_tables", spy_tables)
-    monkeypatch.setattr(ly, "FlatLattice", no_flats)
+    monkeypatch.setattr(ly, "LayerPoset", no_layers)
     p = str(path)
-    for argv in (["constituents", p], ["constituents", p, "--path", "subset"],
-                 ["constituents", p, "--path", "layers"], ["minimality", p],
-                 ["layers", p]):
+    for argv, tabled in (
+            (["constituents", p], []),  # auto: n = 14 takes the layers
+            (["constituents", p, "--path", "subset"], [3]),
+            (["constituents", p, "--path", "layers"], []),
+            (["minimality", p], []), (["layers", p], [])):
         tops.clear()
         start = time.monotonic()
         rc, out = run(argv)
         assert rc == 3 and out == "", argv
-        # only lcm_period's tables, up to size rank - 1 = 3
-        assert tops == [3], argv
+        # the subset route forms only lcm_period's tables, up to size
+        # rank - 1 = 3
+        assert tops == tabled, argv
         assert time.monotonic() - start < 10
 
 

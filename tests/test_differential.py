@@ -1,7 +1,9 @@
 """Differential fuzzing: the layer path, the subset path and the oracle.
 
 The three routes share no code past the ring arithmetic, so on any
-arrangement small enough for all three they must agree.  The strategy
+arrangement small enough for all three they must agree.  So must the two
+routes to the lcm period: ``lcm_period``'s minor tables and
+``FlatLattice.lcm_period``'s coatom images.  The strategy
 draws arrangements with ell <= 3 and n <= 6 over Z, Z[i], Z[sqrt(-5)] and
 Z[tau], with the shapes that stress the rank and torsion bookkeeping:
 proportional columns, a column that is the sum of two others, and a zero
@@ -11,6 +13,7 @@ first row (rank-deficient inputs).
 import collections
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +21,9 @@ from dedarr import charquasi as cq
 from dedarr import layers as ly
 from dedarr import oracle
 from dedarr import ring as rg
+from dedarr import rootsys
 
-from conftest import check_layer_algebra
+from conftest import cartan_arrangement, check_layer_algebra, seed7_probe
 
 RINGS = [rg.rational_integers(), rg.quadratic(-1), rg.quadratic(-5),
          rg.quadratic(5)]
@@ -71,6 +75,7 @@ def test_layer_path_subset_path_and_oracle_agree():
     @given(arrangements())
     def agree(A):
         rho = cq.lcm_period(A)
+        assert ly.FlatLattice(A).lcm_period() == rho
         assume(rho.least_integer() <= MAX_M)
         assume(rho.norm ** A.ell <= MAX_ORACLE_POINTS)
         q = cq.constituents(A, path="layers")
@@ -107,3 +112,57 @@ def test_layer_algebra_matches_elimination():
     assert all(kept[ring] >= MIN_PER_RING for ring in RINGS), kept
     # 235 flats with a pivot above 1, holding 238 nonzero layers
     assert odd["flats"] >= 100 and odd["layers"] >= 100, odd
+
+
+def named_arrangements(gaussian, nonprincipal):
+    """The fixtures, H2-H4, the Cartan systems up to E6, the seed-7 probes
+    of 3 x 8, 4 x 10 and 4 x 14, a rank-deficient arrangement over
+    Z[sqrt(-5)], whose coatoms are planes, and entries past int64 over Z
+    and Z[i], a negative one on a line among them."""
+    Z, ZI, Z5 = rg.rational_integers(), rg.quadratic(-1), rg.quadratic(-5)
+    yield gaussian
+    yield nonprincipal
+    M = 2 ** 40
+    yield cq.Arrangement(Z, [[(-5 * M * M,)]])
+    yield cq.Arrangement(Z, [[(M + 3,), (5 * M,)], [(-7 * M,), (M - 1,)],
+                             [(M,), (2 * M + 9,)]])
+    yield cq.Arrangement(ZI, [[(M, 3), (1, 0)], [(2, -M), (M + 1, 5)],
+                              [(0, 1), (7 * M, M)]])
+    yield cq.Arrangement(Z5, [[(0, 0), (2, 0), (1, -1)],
+                              [(0, 0), (1, 1), (3, 0)],
+                              [(0, 0), (1, 0), (1, 0)]])
+    for name in ("H2", "H3", "H4"):
+        yield rootsys.builtin(name).arrangement
+    for name in ("A3", "B3", "C3", "G2", "D4", "B4", "C4", "F4", "A5",
+                 "D5", "E6"):
+        yield cartan_arrangement(name)
+    for ell, n in ((3, 8), (4, 10), (4, 14)):
+        yield cq.Arrangement(Z, [[(c,) for c in col]
+                                 for col in seed7_probe(ell, n)])
+
+
+def check_flat_route_periods(arrangements):
+    for A in arrangements:
+        assert ly.FlatLattice(A).lcm_period() == cq.lcm_period(A), A
+
+
+def test_flat_route_period_matches_lcm_period(gaussian_arrangement,
+                                              nonprincipal_arrangement):
+    check_flat_route_periods(named_arrangements(gaussian_arrangement,
+                                                nonprincipal_arrangement))
+
+
+def test_dropped_coatom_fails_the_period_check(gaussian_arrangement,
+                                               nonprincipal_arrangement,
+                                               monkeypatch):
+    # a planted fault: the flat route forgets the first coatom's ideals
+    right = ly.FlatLattice.lcm_period
+
+    def dropped(self):
+        self.covers[-1] = self.covers[-1][1:]
+        return right(self)
+
+    monkeypatch.setattr(ly.FlatLattice, "lcm_period", dropped)
+    with pytest.raises(AssertionError):
+        check_flat_route_periods(named_arrangements(
+            gaussian_arrangement, nonprincipal_arrangement))

@@ -452,6 +452,25 @@ def test_flat_lattice_budget(monkeypatch, capsys):
     assert "reached 11 flats at codim 1" in capsys.readouterr().err
 
 
+def test_flat_budget(monkeypatch, capsys):
+    # the flat budget bounds the lattice's memory whatever the layer
+    # budget; it trips at the first flat past it, and the layer path then
+    # exits 3 before any layer
+    from dedarr.errors import BudgetExceeded
+    h3 = rootsys.builtin("H3").arrangement
+    monkeypatch.setattr(ly, "FLAT_BUDGET", 48)
+    assert len(ly.FlatLattice(h3).flats) == 48
+    monkeypatch.setattr(ly, "FLAT_BUDGET", 20)
+    with pytest.raises(BudgetExceeded, match="reached 21 flats at codim 2, "
+                       "over the flat budget of 20"):
+        ly.FlatLattice(h3)
+    capsys.readouterr()
+    out = io.StringIO()
+    assert cli.main(["rootsystem", "H3", "--constituents"], out=out) == 3
+    assert out.getvalue() == ""
+    assert "over the flat budget of 20" in capsys.readouterr().err
+
+
 def test_wrong_layer_registration_is_caught(monkeypatch):
     # recording a layer under the flat's J instead of its own claims that
     # pairs find it which do not; a solved parent must refuse the claim
