@@ -9,6 +9,8 @@ where m(J, kappa) is the product of N(kappa + d_{J,i}).  Two routes are
 implemented: the inclusion-exclusion sum above over all 2^n subsets (with
 an exact cancellation prune), and the layer-poset route that reads the
 same constituents off Moebius values of the torsion-translate poset.
+Both take the lcm period, the lcm of the d_{J,i}, off the intersection
+lattice (``lcm_period``).
 """
 
 import json
@@ -31,8 +33,7 @@ from .ring import Ideal, PrimeValuator
 
 SUBSET_PATH_MAX_N = 22
 AUTO_SUBSET_MAX_N = 12
-MINOR_TABLE_BUDGET = 10 ** 7  # entries of one _minor_tables call
-LEAF_CHUNK = 2 ** 14  # basis minors formed at once by lcm_period
+MINOR_TABLE_BUDGET = 10 ** 7  # entries of the subset walk's minor tables
 
 
 class Arrangement:
@@ -260,32 +261,26 @@ def _children(last, n):
     return parent, np.arange(len(parent)) - offset[parent], offset
 
 
-def _minor_tables(A, top, exact):
+def _minor_tables(A, top):
     """The minors of every column subset of size at most ``top``.
 
-    Returns (X, tables, parents, lasts, offsets).  X holds the columns, one
-    row per column.  tables[s] holds the s-minors of the s-subsets of the n
-    columns in combinations order: one row per column set, one column per
-    s-subset of the ell rows, the coordinates on the last axis; tables[0]
-    is the 0-minor 1 of the empty set.  Row i of tables[s] is the set at
-    row parents[s][i] of tables[s - 1] plus the column lasts[s][i], and
-    is built by Laplace expansion along that column (lasts[0] is [-1]).
-    The one index into the tables: for P at row p of tables[s - 1] and
-    j > max P, the row of P + (j,) in tables[s] is offsets[s][p] + j.  The
-    dtype is int64 when _kernel_bound allows minors up to size
-    ``exact``, else object (Python ints).  Past MINOR_TABLE_BUDGET
-    entries, BudgetExceeded is raised before any table is formed.
+    Returns (tables, parents, lasts, offsets).  tables[s] holds the
+    s-minors of the s-subsets of the n columns in combinations order: one
+    row per column set, one column per s-subset of the ell rows, the
+    coordinates on the last axis; tables[0] is the 0-minor 1 of the empty
+    set.  Row i of tables[s] is the set at row parents[s][i] of
+    tables[s - 1] plus the column lasts[s][i], and is built by Laplace
+    expansion along that column (lasts[0] is [-1]).  The one index into
+    the tables: for P at row p of tables[s - 1] and j > max P, the row of
+    P + (j,) in tables[s] is offsets[s][p] + j.  The dtype is int64 when
+    _kernel_bound allows minors up to size ``top``, else object (Python
+    ints).
     """
     ring = A.ring
-    n, ell, deg = A.n, A.ell, ring.degree
-    size = sum(comb(n, s) * comb(ell, s) for s in range(1, top + 1))
-    if size > MINOR_TABLE_BUDGET:
-        raise BudgetExceeded(
-            f"a minor table up to size {top} needs {size} minors of column "
-            f"subsets, over the budget of {MINOR_TABLE_BUDGET}")
+    n, deg = A.n, ring.degree
     entry = max((abs(c) for col in A.columns for x in col for c in x),
                 default=0)
-    dtype = zl.exact_dtype(_kernel_bound(ring, entry, exact))
+    dtype = zl.exact_dtype(_kernel_bound(ring, entry, top))
     X = np.array([[list(x) for x in col] for col in A.columns], dtype=dtype)
     table = np.zeros((1, 1, deg), dtype=dtype)
     table[0, 0, 0] = 1
@@ -296,98 +291,47 @@ def _minor_tables(A, top, exact):
         parents.append(parent)
         lasts.append(cols)
         offsets.append(offset)
-    return X, tables, parents, lasts, offsets
-
-
-def _subset_rows(parents, lasts, offsets, s, p, j):
-    """Rows in tables[s] of the s-subsets of P + (j,), P at row p of tables[s].
-
-    Those are P itself and, for each (s-1)-subset F of P, F + (j,).
-    """
-    if s == 0:
-        return [p]
-    faces = _subset_rows(parents, lasts, offsets, s - 1,
-                         int(parents[s][p]), int(lasts[s][p]))
-    return [p] + [int(offsets[s][f]) + j for f in faces]
+    return tables, parents, lasts, offsets
 
 
 def lcm_period(A):
-    """The lcm of the last invariant factors d(J), over the bases of A.
+    """The lcm period: the lcm of the last invariant factors d(J) over the
+    column subsets J of A (Kamiya-Takemura-Terao).
 
     For independent J and J + {j}, dropping coordinate j maps
     coker(J + {j}) onto coker(J); both cokernels are torsion, so
     d(J) | d(J + {j}).  Every independent subset extends to a basis, an
-    independent subset of size r = rank A, so the lcm over bases equals the
-    lcm over all independent subsets.  Dropping columns of a dependent
-    subset at equal rank only grows the last invariant factor, so that is
-    also the lcm over every subset.
-
-    The minors of every column subset of size below r come from
-    _minor_tables.  The bases P + (j,), P an (r-1)-subset and j > max P,
-    are then formed in blocks and visited in lex order: a basis has a
-    nonzero r-minor, and d = E_r * E_(r-1)^(-1) of its determinantal
-    ideals.  When r = ell, E_ell = (g) for its one maximal minor g, and d
-    contains (g): a basis whose g is a unit or divides the lcm found so
-    far forms no ideal.
-
-    This walk serves the subset path and ``dedarr period``; the layer path
-    reads the same ideal off its flat lattice (``FlatLattice.lcm_period``).
+    independent subset of size r = rank A, and dropping columns of a
+    dependent subset at equal rank only grows the last invariant factor,
+    so the lcm over every subset is the lcm over the bases.  That lcm is
+    read off the flat lattice (``FlatLattice.lcm_period``): no minor is
+    tabled.
     """
-    ring = A.ring
-    unit = Ideal.unit(ring)
-    if A.n == 0:
-        return unit
-    n, ell, deg = A.n, A.ell, ring.degree
-    r = _rank(A)
-    X, tables, parents, lasts, offsets = _minor_tables(A, r - 1, r)
-    table, last = tables[-1], lasts[-1]
-    acc = unit
-    per = max(1, LEAF_CHUNK // (n * comb(ell, r)))
-    for lo in range(0, len(last), per):
-        parent, cols, _ = _children(last[lo:lo + per], n)
-        top = _extend(ring, X, table, parent + lo, cols, r)
-        if r == ell:
-            # g = 0: dependent; a unit g makes d the unit ideal
-            keep = abs(ring.norm(top[:, 0].T)) > 1
-        else:
-            keep = (top != 0).any(axis=(1, 2))
-        for i in np.flatnonzero(keep).tolist():
-            gens = [tuple(v) for v in top[i].tolist()]
-            if r == ell:
-                if ring.divides(gens[0], *acc.hnf):
-                    continue  # d contains (g), which contains the lcm
-                e_top = Ideal.principal(ring, gens[0])
-            else:
-                e_top = Ideal.from_generators(ring, gens)
-            if r == 1:
-                e_prev = unit
-            else:
-                # E_(r-1): the (r-1)-minors of P and of each P - {k} + {j}
-                subs = _subset_rows(parents, lasts, offsets, r - 1,
-                                    int(parent[i]) + lo, int(cols[i]))
-                smaller = [tuple(v)
-                           for v in table[subs].reshape(-1, deg).tolist()]
-                e_prev = Ideal.from_generators(ring, smaller)
-            if e_top.is_unit_ideal() or e_top.contains_ideal(acc * e_prev):
-                continue  # d already divides the accumulated lcm
-            acc = acc.intersect(e_top / e_prev)
-    return acc
+    from .layers import FlatLattice
+    return FlatLattice(A).lcm_period()
 
 
 # ---------------------------------------------------------------------------
 # constituents, subset-sum path
 
 
-def _constituents_subset_sum(A, rho):
+def _constituents_subset_sum(A):
     ring = A.ring
     ell = A.ell
     n = A.n
     deg = ring.degree
+    # no subset has rank above r, so no table past size r is read; a table
+    # past the budget fails before the period's flats are built
+    r = _rank(A)
+    size = sum(comb(n, s) * comb(ell, s) for s in range(1, r + 1))
+    if size > MINOR_TABLE_BUDGET:
+        raise BudgetExceeded(
+            f"a minor table up to size {r} needs {size} minors of column "
+            f"subsets, over the budget of {MINOR_TABLE_BUDGET}")
+    rho = lcm_period(A)
     # an unfactorable period fails here, before any minor is tabled
     primes = [p for p, _ in rho.factor()]
-    # no subset has rank above r, so no table past size r is read
-    r = _rank(A)
-    _, tables, _, _, offsets = _minor_tables(A, r, r)
+    tables, _, _, offsets = _minor_tables(A, r)
     vals = [PrimeValuator(p) for p in primes]
     np_ = len(primes)
     INF = 10 ** 9
@@ -472,9 +416,10 @@ def _constituents_subset_sum(A, rho):
 def constituents(A, path="auto"):
     """The characteristic quasi-polynomial of the arrangement.
 
-    The subset path takes the lcm period from ``lcm_period``'s minor
-    tables; the layer path (``auto`` past AUTO_SUBSET_MAX_N columns) reads
-    it off the flat lattice it builds anyway, and tables no minor.
+    Both paths read the lcm period off the flat lattice: the subset path
+    through ``lcm_period``, the layer path (``auto`` past AUTO_SUBSET_MAX_N
+    columns) off the lattice it builds anyway.  Only the subset path
+    tables minors, once, up to the rank.
     """
     if path not in ("auto", "subset", "layers"):
         raise ValueError(f"unknown path {path!r}")
@@ -484,7 +429,7 @@ def constituents(A, path="auto"):
     if path == "auto":
         path = "subset" if A.n <= AUTO_SUBSET_MAX_N else "layers"
     if path == "subset":
-        q = _constituents_subset_sum(A, lcm_period(A))
+        q = _constituents_subset_sum(A)
     else:
         from .layers import layer_poset
         q = layer_poset(A).quasi_polynomial()

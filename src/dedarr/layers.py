@@ -85,9 +85,8 @@ class FlatLattice:
     column block, int64 while D*max|B|*max|C| fits and Python ints past
     it.  The zero blocks of the image give J, block j is the matrix whose
     kernel cuts the flat by hyperplane j, and ``LayerPoset.coset_counts``
-    reduces a level's images mod m.  Every flat carries a zero layer, so
-    the flat count is held to LAYER_BUDGET, which the layer path could
-    never pass, and to FLAT_BUDGET, the memory a lattice may take.
+    reduces a level's images mod m.  The flat count is held to
+    FLAT_BUDGET, the memory a lattice may take.
 
     The images also give the lcm period rho (``lcm_period``): it is the
     intersection of the ideals c_j(Lambda_X), over the coatoms X (the
@@ -239,11 +238,6 @@ class FlatLattice:
                 f"the intersection lattice reached {len(self.flats)} flats "
                 f"at codim {flat.codim}, over the flat budget of "
                 f"{FLAT_BUDGET}")
-        if len(self.flats) > LAYER_BUDGET:
-            raise BudgetExceeded(
-                f"the intersection lattice reached {len(self.flats)} flats "
-                f"at codim {flat.codim}, over the layer budget of "
-                f"{LAYER_BUDGET} (every flat carries a zero layer)")
         return fid
 
     def child(self, fid, j):

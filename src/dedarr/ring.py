@@ -111,15 +111,6 @@ class Ring:
     def is_zero(self, x):
         return not any(x)
 
-    def divides(self, g, *xs):
-        """Whether the nonzero element g divides every x in the ring."""
-        if self.degree == 1:
-            return all(x[0] % g[0] == 0 for x in xs)
-        # x/g = x*conj(g)/N(g), and N(g) may be negative over a real order
-        ng = self.norm(g)
-        cg = self.conj(g)
-        return all(c % ng == 0 for x in xs for c in self.mul(x, cg))
-
     def format_element(self, x):
         if self.degree == 1:
             return str(x[0])

@@ -51,6 +51,30 @@ def rand_small_arrangement(rng, ring, ell_max=3, n_max=4, bound=3):
             return cq.Arrangement(ring, cols)
 
 
+def rand_table_arrangement(rng, ring):
+    """ell <= 4 and n <= 7, entries in [-2, 2]; in about half the draws
+    with ell > 1, every column an integer combination of the first k < ell
+    columns, so that the rank falls below min(ell, n)."""
+    ell, n = rng.randint(1, 4), rng.randint(1, 7)
+    cols = []
+    while len(cols) < n:
+        col = tuple(tuple(rng.randint(-2, 2) for _ in range(ring.degree))
+                    for _ in range(ell))
+        if any(any(x) for x in col):
+            cols.append(col)
+    if ell > 1 and rng.random() < 0.5:
+        k = rng.randint(1, ell - 1)
+        base = cols = cols[:k]
+        while len(cols) < n:
+            f = [rng.randint(-2, 2) for _ in base]
+            col = tuple(tuple(sum(c * b[i][t] for c, b in zip(f, base))
+                              for t in range(ring.degree))
+                        for i in range(ell))
+            if any(any(x) for x in col):
+                cols = cols + [col]
+    return cq.Arrangement(ring, cols)
+
+
 def seed7_probe(ell, n):
     """One Z probe of the seed-7 set: 3 x 8, 4 x 10, 4 x 14 and 6 x 16.
 
@@ -578,6 +602,87 @@ def m_value(inv, kappa):
     for d in inv.factors:
         m *= (kappa + d).norm
     return m
+
+
+def full_range_lcm(A):
+    """The lcm period by its definition: the lcm of the last invariant
+    factors over every J with 1 <= |J| <= min(ell, n)."""
+    full = Ideal.unit(A.ring)
+    for inv in subset_data(A).values():
+        last = inv.last_factor()
+        if last is not None and not last.contains_ideal(full):
+            full = full.intersect(last)
+    return full
+
+
+def divides(ring, g, *xs):
+    """Whether the nonzero element g divides every x in the ring."""
+    if ring.degree == 1:
+        return all(x[0] % g[0] == 0 for x in xs)
+    # x/g = x*conj(g)/N(g), and N(g) may be negative over a real order
+    ng = ring.norm(g)
+    cg = ring.conj(g)
+    return all(c % ng == 0 for x in xs for c in ring.mul(x, cg))
+
+
+def subset_rows(parents, lasts, offsets, s, p, j):
+    """Rows in tables[s] of the s-subsets of P + (j,), P at row p of tables[s].
+
+    Those are P itself and, for each (s-1)-subset F of P, F + (j,).
+    """
+    if s == 0:
+        return [p]
+    faces = subset_rows(parents, lasts, offsets, s - 1,
+                        int(parents[s][p]), int(lasts[s][p]))
+    return [p] + [int(offsets[s][f]) + j for f in faces]
+
+
+def minor_walk_lcm_period(A):
+    """The lcm period by its definition over the bases, off the minor tables.
+
+    The reference for ``FlatLattice.lcm_period`` on inputs far past
+    ``subset_data``: the lcm over every subset is the lcm over the bases
+    (``charquasi.lcm_period``), and a basis P + (j,) of size r = rank A
+    has the last invariant factor d = E_r * E_(r-1)^(-1) of its
+    determinantal ideals, read off ``charquasi._minor_tables`` up to r.
+    When r = ell, E_ell = (g) for the one maximal minor g, and d contains
+    (g): a basis whose g is a unit or divides the lcm found so far forms
+    no ideal.
+    """
+    ring = A.ring
+    unit = Ideal.unit(ring)
+    if A.n == 0:
+        return unit
+    r = cq._rank(A)
+    tables, parents, lasts, offsets = cq._minor_tables(A, r)
+    top = tables[r]
+    if r == A.ell:
+        # g = 0: dependent; a unit g makes d the unit ideal
+        keep = abs(ring.norm(top[:, 0].T)) > 1
+    else:
+        keep = (top != 0).any(axis=(1, 2))
+    acc = unit
+    for i in keep.nonzero()[0].tolist():
+        gens = [tuple(v) for v in top[i].tolist()]
+        if r == A.ell:
+            if divides(ring, gens[0], *acc.hnf):
+                continue  # d contains (g), which contains the lcm
+            e_top = Ideal.principal(ring, gens[0])
+        else:
+            e_top = Ideal.from_generators(ring, gens)
+        if r == 1:
+            e_prev = unit
+        else:
+            # E_(r-1): the (r-1)-minors of P and of each P - {k} + {j}
+            subs = subset_rows(parents, lasts, offsets, r - 1,
+                               int(parents[r][i]), int(lasts[r][i]))
+            smaller = [tuple(v) for v in
+                       tables[r - 1][subs].reshape(-1, ring.degree).tolist()]
+            e_prev = Ideal.from_generators(ring, smaller)
+        if e_top.is_unit_ideal() or e_top.contains_ideal(acc * e_prev):
+            continue  # d already divides the accumulated lcm
+        acc = acc.intersect(e_top / e_prev)
+    return acc
 
 
 def arrangement_to_json(A):

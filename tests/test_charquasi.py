@@ -19,7 +19,8 @@ from dedarr.errors import (
 )
 
 from conftest import (SubsetInvariants, _minor_table, arrangement_to_json,
-                      invariant_factors, m_value, rand_small_arrangement,
+                      full_range_lcm, invariant_factors, m_value,
+                      rand_small_arrangement, rand_table_arrangement,
                       rank_over_K, subset_data)
 
 Z = rg.rational_integers()
@@ -79,15 +80,6 @@ def test_lcm_period_examples(gaussian_arrangement, nonprincipal_arrangement):
     assert cq.lcm_period(h3) == rg.Ideal.principal(ZT, (2, 0))
 
 
-def full_range_lcm(A):
-    full = rg.Ideal.unit(A.ring)
-    for inv in subset_data(A).values():
-        last = inv.last_factor()
-        if last is not None and not last.contains_ideal(full):
-            full = full.intersect(last)
-    return full
-
-
 def rand_columns(rng, ring, ell, n, bound=3):
     cols = []
     while len(cols) < n:
@@ -135,27 +127,27 @@ def test_lcm_period_equals_full_range_lcm(monkeypatch):
         for _ in range(15):
             A = rand_small_arrangement(rng, ring, ell_max=3, n_max=4)
             assert cq.lcm_period(A) == full_range_lcm(A), A.columns
-        # every subset of ell columns is a principal leaf: ell = n = 4,
-        # and ell = 1, where the leaves are the single columns
+        # square bases: ell = n = 4, one basis, and ell = 1, where the
+        # bases are the single columns and the coatom is the whole space
         for ell, n in ((4, 4), (4, 4), (1, 1), (1, 3), (1, 5)):
             A = cq.Arrangement(ring, rand_columns(rng, ring, ell, n))
             assert cq.lcm_period(A) == full_range_lcm(A), A.columns
-        # ell = 5: the leaves' E_4 needs 3-minors the walk forms on demand
+        # ell = 5: the coatoms are lines, at codim 4
         A = cq.Arrangement(ring, rand_columns(rng, ring, 5, 6, bound=2))
         assert cq.lcm_period(A) == full_range_lcm(A), A.columns
-    # {1, 2} is a principal leaf whose minor 3 does not divide the lcm
-    # <2> of {0, 1}, so the full route must add the prime 3
+    # the basis {1, 2} has the minor 3, which does not divide the lcm
+    # <2> of {0, 1}, so the prime 3 must be added
     A = cq.Arrangement(Z, [[(2,), (0,)], [(0,), (1,)], [(3,), (0,)]])
     assert cq.lcm_period(A) == full_range_lcm(A) == \
         rg.Ideal.principal(Z, (6,))
-    # the leaf minor 4 does not divide <2>, yet with E_1 = <2> the last
-    # factor is 4/2 = 2, which does: the lcm stays <2>
+    # the minor 4 of {0, 2} does not divide <2>, yet with E_1 = <2> the
+    # last factor is 4/2 = 2, which does: the lcm stays <2>
     A = cq.Arrangement(Z, [[(2,), (0,)], [(0,), (1,)], [(2,), (2,)]])
     assert cq.lcm_period(A) == full_range_lcm(A) == \
         rg.Ideal.principal(Z, (2,))
-    # rank below ell: the bases have fewer than ell columns, so no leaf is
-    # principal; a zero coordinate row, or ell = 3 with every column in
-    # the plane x_3 = x_1 + x_2, or proportional columns
+    # rank below ell: the bases have fewer than ell columns and the
+    # coatoms are planes or more; a zero coordinate row, or ell = 3 with
+    # every column in the plane x_3 = x_1 + x_2, or proportional columns
     for ring in (Z, ZI, Z5, ZT):
         for ell, n in ((2, 3), (3, 4), (3, 5), (4, 4), (5, 6)):
             for _ in range(3):
@@ -175,15 +167,15 @@ def test_lcm_period_equals_full_range_lcm(monkeypatch):
         cols = [tuple(ring.mul(s, x) for x in base) for s in scales]
         A = cq.Arrangement(ring, cols)
         assert cq.lcm_period(A) == full_range_lcm(A), cols
-    # the walk stops at the rank: the bases {0} and {1} give <2> and <6>,
-    # and the pair {0, 1}, of rank 1, is never formed
+    # rank 1 in ell = 3: the bases {0} and {1} give <2> and <6>, and the
+    # one coatom is the whole space
     A = cq.Arrangement(Z, [[(0,), (2,), (0,)], [(0,), (6,), (0,)]])
     assert cq.lcm_period(A) == full_range_lcm(A) == \
         rg.Ideal.principal(Z, (6,))
-    assert dtypes == {np.int64}
-    # past the int64 bound the same kernel runs on Python ints: the
-    # benchmark's big-prime presentations, large random entries, and the
-    # edge of the bound, where the minor 2*B^2 still fits for B < 2^31
+    # past the int64 bound the flat images and the quadratic screen run on
+    # Python ints: the benchmark's big-prime presentations and large
+    # random entries; over a quadratic order the screen passes it already
+    # on some small entries above, once the lcm found so far is large
     for ring in (ZI, Z5, ZT):
         A = cq.Arrangement(ring, big_prime_columns(rng, ring, 3, 8))
         assert cq.lcm_period(A) == full_range_lcm(A), A.columns
@@ -191,16 +183,28 @@ def test_lcm_period_equals_full_range_lcm(monkeypatch):
             A = cq.Arrangement(ring, rand_columns(rng, ring, ell, n, 10 ** 6))
             assert cq.lcm_period(A) == full_range_lcm(A), A.columns
     assert dtypes == {np.int64, object}
-    for B, dtype in ((2 ** 31 - 1, np.int64), (2 ** 31, object)):
-        dtypes.clear()
-        A = cq.Arrangement(Z, [[(B,), (B,)], [(-B,), (B,)], [(B,), (3,)]])
-        assert cq.lcm_period(A) == full_range_lcm(A), B
-        assert dtypes == {dtype}
+    # the edges of the bounds.  A flat's image B*C stays below
+    # D*max|B|*max|C|: over Z with ell = 1 the images are the columns,
+    # int64 up to 2^63 - 1
     for B, dtype in ((2 ** 63 - 1, np.int64), (2 ** 63, object)):
         dtypes.clear()
         A = cq.Arrangement(Z, [[(B,)], [(6,)], [(-B,)]])
         assert cq.lcm_period(A) == full_range_lcm(A), B
         assert dtypes == {dtype}
+    # the line of the column (B, 3) has the basis (3, -B), so its image
+    # takes Python ints from 2*B^2 = 2^63 on; the whole plane stays int64
+    for B, past in ((2 ** 31 - 1, False), (2 ** 31, True)):
+        dtypes.clear()
+        A = cq.Arrangement(Z, [[(B,), (B,)], [(-B,), (B,)], [(B,), (3,)]])
+        assert cq.lcm_period(A) == full_range_lcm(A), B
+        assert dtypes == ({np.int64, object} if past else {np.int64})
+    # over Z[i] the screen's 2 x 2 minors of an image with entries B stay
+    # below 2*B^2: the column B at ell = 1
+    for B, past in ((2 ** 31 - 1, False), (2 ** 31, True)):
+        dtypes.clear()
+        A = cq.Arrangement(ZI, [[(B, 0)], [(1, 0)]])
+        assert cq.lcm_period(A) == full_range_lcm(A), B
+        assert dtypes == ({np.int64, object} if past else {np.int64})
 
 
 def test_kernel_bound():
@@ -230,15 +234,9 @@ def test_kernel_bound():
 
 
 def test_minor_table_budget(monkeypatch):
-    # H3: 15 columns of rank 3, so the tables hold the 1- and 2-minors,
-    # 15*3 + 105*3 = 360 entries
+    # H3: 15 columns of rank 3, so the subset walk reads the 1-, 2- and
+    # 3-minors, 15*3 + 105*3 + 455 = 815 entries
     A = rootsys.builtin("H3").arrangement
-    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 360)
-    assert cq.lcm_period(A) == rg.Ideal.principal(ZT, (2, 0))
-    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 359)
-    with pytest.raises(BudgetExceeded, match="needs 360 minors"):
-        cq.lcm_period(A)
-    # the subset walk also reads the 455 3-minors: 815 entries
     monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 815)
     q = cq.constituents(A, path="subset")
     assert q.constituents[rg.Ideal.unit(ZT)] == (-45, 59, -15, 1)
@@ -264,8 +262,8 @@ def test_minor_table_budget(monkeypatch):
 
 
 def test_rank_matches_reference():
-    # the rank lcm_period and the subset walk read off the restriction of
-    # scalars, against rank_over_K and the largest size of a nonzero minor
+    # the rank the subset walk reads off the restriction of scalars,
+    # against rank_over_K and the largest size of a nonzero minor
     rng = random.Random(55)
     kinds = {"random": 0, "deficient": 0, "dependent": 0, "zero row": 0}
     short = 0
@@ -302,7 +300,7 @@ def test_rank_matches_reference():
                         continue
                 A = cq.Arrangement(ring, cols)
                 top = min(A.ell, A.n)
-                _, tables, _, _, _ = cq._minor_tables(A, top, top)
+                tables = cq._minor_tables(A, top)[0]
                 largest = max(s for s in range(top + 1)
                               if (tables[s] != 0).any())
                 r = cq._rank(A)
@@ -313,40 +311,17 @@ def test_rank_matches_reference():
     assert min(kinds.values()) >= 20 and short >= 30, (kinds, short)
 
 
-def test_table_index_reaches_every_subset(monkeypatch):
+def test_table_index_reaches_every_subset():
     # the row of P + (j,) in tables[s] is offsets[s][row of P] + j: every
     # s-subset, reached from the empty set through offsets, sits at a row
-    # holding its minors, and the E_(r-1) rows lcm_period reads for a basis
-    # are exactly that basis's (r-1)-subsets
-    calls = []
-    subset_rows = cq._subset_rows
-
-    def recorded(parents, lasts, offsets, s, p, j):
-        out = subset_rows(parents, lasts, offsets, s, p, j)
-        calls.append((s, p, j, out))
-        return out
-
-    monkeypatch.setattr(cq, "_subset_rows", recorded)
+    # holding its minors
     rng = random.Random(59)
-    checked = deficient = bases = 0
+    checked = deficient = 0
     for ring in (Z, ZI, Z5, ZT):
         for _ in range(12):
-            ell, n = rng.randint(1, 4), rng.randint(1, 7)
-            cols = rand_columns(rng, ring, ell, n, bound=2)
-            if ell > 1 and rng.random() < 0.5:
-                # every column an integer combination of the first k < ell
-                k = rng.randint(1, ell - 1)
-                base = cols = cols[:k]
-                while len(cols) < n:
-                    f = [rng.randint(-2, 2) for _ in base]
-                    col = tuple(tuple(sum(c * b[i][t] for c, b in zip(f, base))
-                                      for t in range(ring.degree))
-                                for i in range(ell))
-                    if any(any(x) for x in col):
-                        cols = cols + [col]
-            A = cq.Arrangement(ring, cols)
+            A = rand_table_arrangement(rng, ring)
             top = min(A.ell, A.n)
-            _, tables, parents, lasts, offsets = cq._minor_tables(A, top, top)
+            tables, parents, lasts, offsets = cq._minor_tables(A, top)
             ref = _minor_table(A.coeff_matrix(range(A.n)), top)
             row = {(): 0}
             for s in range(1, top + 1):
@@ -355,33 +330,14 @@ def test_table_index_reaches_every_subset(monkeypatch):
                     i = int(offsets[s][p]) + S[-1]
                     assert parents[s][i] == p and lasts[s][i] == S[-1]
                     minors = [tuple(v) for v in tables[s][i].tolist()]
-                    assert minors == [ref[(R, S)] for R in
-                                      combinations(range(A.ell), s)], (cols, S)
+                    assert minors == [
+                        ref[(R, S)] for R in combinations(range(A.ell), s)
+                    ], (A.columns, S)
                     row[S] = i
                     checked += 1
                 assert len(tables[s]) == comb(A.n, s)
-            for S in combinations(range(A.n), top):
-                for s in range(top):
-                    got = subset_rows(parents, lasts, offsets, s,
-                                      row[S[:s]], S[s])
-                    assert sorted(got) == sorted(
-                        row[F] for F in combinations(S[:s + 1], s))
-            r = cq._rank(A)
-            deficient += r < top
-            del calls[:]
-            cq.lcm_period(A)
-            lookup = {i: S for S, i in row.items() if len(S) == r - 1}
-            # the recursion's own calls are for smaller s
-            for s, p, j, got in calls:
-                if s < r - 1:
-                    continue
-                basis = lookup[p] + (j,)
-                assert s == r - 1 and j > max(lookup[p], default=-1)
-                assert sorted(got) == sorted(
-                    row[F] for F in combinations(basis, r - 1)), cols
-                bases += 1
-    assert checked >= 600 and deficient >= 8 and bases >= 100, \
-        (checked, deficient, bases)
+            deficient += cq._rank(A) < top
+    assert checked >= 600 and deficient >= 8, (checked, deficient)
 
 
 def constituents_by_definition(A):
@@ -408,10 +364,9 @@ def test_subset_walk_matches_definition(monkeypatch):
     dtypes = set()
     build = cq._minor_tables
 
-    def recorded(A, top, exact):
-        out = build(A, top, exact)
-        if top == exact:  # the walk's call; lcm_period's stops below r
-            dtypes.add(out[0].dtype)
+    def recorded(A, top):
+        out = build(A, top)
+        dtypes.add(out[0][0].dtype)
         return out
 
     monkeypatch.setattr(cq, "_minor_tables", recorded)

@@ -333,21 +333,44 @@ def test_empty_arrangement_file(tmp_path):
     assert "f[1] = t^2" in text
 
 
+def test_period_tables_no_minor(tmp_path, monkeypatch, nonprincipal_file):
+    # dedarr period reads the lcm period off the flat lattice: with no
+    # minor table allowed it prints the period line of constituents
+    from dedarr import charquasi as cq
+    from dedarr.rootsys import builtin
+    h3 = tmp_path / "h3.json"
+    h3.write_text(json.dumps({
+        "ring": {"type": "quadratic", "d": 5},
+        "columns": [[list(x) for x in c]
+                    for c in builtin("H3").arrangement.columns]}))
+    tops = []
+    minor_tables = cq._minor_tables
+
+    def spy_tables(A, top):
+        tops.append(top)
+        return minor_tables(A, top)
+
+    for path in (str(h3), nonprincipal_file):
+        rc, text = run(["constituents", path])
+        assert rc == 0
+        monkeypatch.setattr(cq, "_minor_tables", spy_tables)
+        monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 0)
+        rc, out = run(["period", path])
+        monkeypatch.undo()
+        assert rc == 0 and tops == []
+        assert out == text.splitlines(keepends=True)[0]
+        assert out.startswith("period: ")
+
+
 def test_budget_exit_code(tmp_path, monkeypatch, capsys):
     cols = [[1, k] for k in range(1, 25)]
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"ring": {"type": "Z"}, "columns": cols}))
     rc, _ = run(["constituents", str(path), "--path", "subset"])
     assert rc == 3
-    # the 24 columns of rank 2 need 24*2 table entries for the lcm period
+    # the subset walk's tables: six columns of rank 2 need 6*2 1-minors
+    # and 15 2-minors
     from dedarr import charquasi as cq
-    monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 47)
-    capsys.readouterr()
-    rc, out = run(["period", str(path)])
-    assert rc == 3 and out == ""
-    assert "needs 48 minors" in capsys.readouterr().err
-    # the subset walk's tables: six columns of rank 2 need 6*2 entries for
-    # the period and 15 more 2-minors for the walk
     path = tmp_path / "six.json"
     path.write_text(json.dumps({"ring": {"type": "Z"}, "columns": cols[:6]}))
     monkeypatch.setattr(cq, "MINOR_TABLE_BUDGET", 27)
@@ -412,10 +435,9 @@ def test_huge_integers_exit_3(tmp_path, capsys):
 def test_unfactorable_period_exits_before_layers_or_walk(tmp_path,
                                                          monkeypatch):
     # the 4 x 14 probe's period has a 702-bit norm, past the factoring
-    # budget.  The subset routes must refuse it right after lcm_period,
-    # before the subset walk tables its rank-4 minors.  The layer routes
-    # read the period off the flat lattice, so they build the flats first,
-    # but must refuse it before any layer is refined, tabling no minor
+    # budget.  Every route reads the period off the flat lattice, so it
+    # builds the flats first, but must refuse the period before any layer
+    # is refined or any minor is tabled
     from dedarr import charquasi as cq
     from dedarr import layers as ly
     assert seed7_probe(6, 16) == PROBE_6X16
@@ -425,9 +447,9 @@ def test_unfactorable_period_exits_before_layers_or_walk(tmp_path,
     tops = []
     minor_tables = cq._minor_tables
 
-    def spy_tables(A, top, exact):
+    def spy_tables(A, top):
         tops.append(top)
-        return minor_tables(A, top, exact)
+        return minor_tables(A, top)
 
     def no_layers(*args):
         raise AssertionError("LayerPoset built for an unusable period")
@@ -435,18 +457,14 @@ def test_unfactorable_period_exits_before_layers_or_walk(tmp_path,
     monkeypatch.setattr(cq, "_minor_tables", spy_tables)
     monkeypatch.setattr(ly, "LayerPoset", no_layers)
     p = str(path)
-    for argv, tabled in (
-            (["constituents", p], []),  # auto: n = 14 takes the layers
-            (["constituents", p, "--path", "subset"], [3]),
-            (["constituents", p, "--path", "layers"], []),
-            (["minimality", p], []), (["layers", p], [])):
-        tops.clear()
+    for argv in (["constituents", p],  # auto: n = 14 takes the layers
+                 ["constituents", p, "--path", "subset"],
+                 ["constituents", p, "--path", "layers"],
+                 ["minimality", p], ["layers", p], ["period", p]):
         start = time.monotonic()
         rc, out = run(argv)
         assert rc == 3 and out == "", argv
-        # the subset route forms only lcm_period's tables, up to size
-        # rank - 1 = 3
-        assert tops == tabled, argv
+        assert tops == [], argv
         assert time.monotonic() - start < 10
 
 

@@ -2,8 +2,9 @@
 
 The three routes share no code past the ring arithmetic, so on any
 arrangement small enough for all three they must agree.  So must the two
-routes to the lcm period: ``lcm_period``'s minor tables and
-``FlatLattice.lcm_period``'s coatom images.  The strategy
+routes to the lcm period: ``lcm_period``, which reads it off the flat
+lattice's coatom images, and the minor walk over the bases in
+``conftest.minor_walk_lcm_period``.  The strategy
 draws arrangements with ell <= 3 and n <= 6 over Z, Z[i], Z[sqrt(-5)] and
 Z[tau], with the shapes that stress the rank and torsion bookkeeping:
 proportional columns, a column that is the sum of two others, and a zero
@@ -23,7 +24,8 @@ from dedarr import oracle
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import cartan_arrangement, check_layer_algebra, seed7_probe
+from conftest import (cartan_arrangement, check_layer_algebra,
+                      minor_walk_lcm_period, seed7_probe)
 
 RINGS = [rg.rational_integers(), rg.quadratic(-1), rg.quadratic(-5),
          rg.quadratic(5)]
@@ -75,7 +77,7 @@ def test_layer_path_subset_path_and_oracle_agree():
     @given(arrangements())
     def agree(A):
         rho = cq.lcm_period(A)
-        assert ly.FlatLattice(A).lcm_period() == rho
+        assert minor_walk_lcm_period(A) == rho
         assume(rho.least_integer() <= MAX_M)
         assume(rho.norm ** A.ell <= MAX_ORACLE_POINTS)
         q = cq.constituents(A, path="layers")
@@ -143,7 +145,7 @@ def named_arrangements(gaussian, nonprincipal):
 
 def check_flat_route_periods(arrangements):
     for A in arrangements:
-        assert ly.FlatLattice(A).lcm_period() == cq.lcm_period(A), A
+        assert cq.lcm_period(A) == minor_walk_lcm_period(A), A
 
 
 def test_flat_route_period_matches_lcm_period(gaussian_arrangement,

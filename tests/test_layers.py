@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import random
 from itertools import combinations
 
@@ -12,10 +13,11 @@ from dedarr import layers as ly
 from dedarr import ring as rg
 from dedarr import rootsys
 
-from conftest import (annihilator_and_J, bit_set, cartan_arrangement,
-                      check_layer_algebra, determinant_coset_count,
-                      exhaustive_layer_poset, exponent_polynomial,
-                      finders_by_sub_arrangement, flats_above,
+from conftest import (annihilator_and_J, arrangement_to_json, bit_set,
+                      cartan_arrangement, check_layer_algebra,
+                      determinant_coset_count, exhaustive_layer_poset,
+                      exponent_polynomial, finders_by_sub_arrangement,
+                      flats_above,
                       hasse_covers_by_triples, invariant_factors,
                       lam_by_hnf, layer_digest, m_value, mobius_by_recursion,
                       mobius_on, rand_small_arrangement, rank_over_K)
@@ -433,16 +435,17 @@ def test_flat_images_at_the_int64_boundary():
 
 
 def test_flat_lattice_budget(monkeypatch, capsys):
-    # every flat carries a zero layer, so the flat count is held to the
-    # layer budget; H3 has 48 flats, the last of them the origin
+    # the flat budget bounds the lattice's memory; it trips at the first
+    # flat past it, and the layer path then exits 3 before any layer.
+    # H3 has 48 flats, the last of them the origin
     from dedarr.errors import BudgetExceeded
     h3 = rootsys.builtin("H3").arrangement
-    monkeypatch.setattr(ly, "LAYER_BUDGET", 48)
+    monkeypatch.setattr(ly, "FLAT_BUDGET", 48)
     assert len(ly.FlatLattice(h3).flats) == 48
-    monkeypatch.setattr(ly, "LAYER_BUDGET", 47)
+    monkeypatch.setattr(ly, "FLAT_BUDGET", 47)
     with pytest.raises(BudgetExceeded, match="reached 48 flats at codim 3"):
         ly.FlatLattice(h3)
-    monkeypatch.setattr(ly, "LAYER_BUDGET", 10)
+    monkeypatch.setattr(ly, "FLAT_BUDGET", 10)
     with pytest.raises(BudgetExceeded, match="reached 11 flats at codim 1"):
         ly.FlatLattice(h3)
     capsys.readouterr()
@@ -452,23 +455,26 @@ def test_flat_lattice_budget(monkeypatch, capsys):
     assert "reached 11 flats at codim 1" in capsys.readouterr().err
 
 
-def test_flat_budget(monkeypatch, capsys):
-    # the flat budget bounds the lattice's memory whatever the layer
-    # budget; it trips at the first flat past it, and the layer path then
-    # exits 3 before any layer
+def test_flat_budget(monkeypatch, capsys, tmp_path):
+    # the message names the flat budget, and the period, which reads off
+    # the lattice too, exits 3 on it like the layer path
     from dedarr.errors import BudgetExceeded
     h3 = rootsys.builtin("H3").arrangement
-    monkeypatch.setattr(ly, "FLAT_BUDGET", 48)
-    assert len(ly.FlatLattice(h3).flats) == 48
     monkeypatch.setattr(ly, "FLAT_BUDGET", 20)
     with pytest.raises(BudgetExceeded, match="reached 21 flats at codim 2, "
                        "over the flat budget of 20"):
         ly.FlatLattice(h3)
-    capsys.readouterr()
-    out = io.StringIO()
-    assert cli.main(["rootsystem", "H3", "--constituents"], out=out) == 3
-    assert out.getvalue() == ""
-    assert "over the flat budget of 20" in capsys.readouterr().err
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(arrangement_to_json(h3)))
+    monkeypatch.setattr(ly, "FLAT_BUDGET", 10)
+    for argv in (["rootsystem", "H3", "--constituents"],
+                 ["period", str(path)]):
+        capsys.readouterr()
+        out = io.StringIO()
+        assert cli.main(argv, out=out) == 3
+        assert out.getvalue() == ""
+        assert "reached 11 flats at codim 1, over the flat budget of 10" \
+            in capsys.readouterr().err
 
 
 def test_wrong_layer_registration_is_caught(monkeypatch):
@@ -919,15 +925,15 @@ def test_localized_poset_matches_torsion_subposet():
 
 
 def test_layer_budget(gaussian_arrangement, monkeypatch):
-    # the Gaussian four lines have 6 flats and 11 layers: at 6 the layer
-    # count trips the budget, below 6 the flat count does first
-    from dedarr.errors import BudgetExceeded, ExponentTooLarge
-    monkeypatch.setattr(ly, "LAYER_BUDGET", 6)
-    with pytest.raises(ExponentTooLarge, match="layer count exceeded"):
-        ly.layer_poset(gaussian_arrangement)
-    monkeypatch.setattr(ly, "LAYER_BUDGET", 3)
-    with pytest.raises(BudgetExceeded, match="reached 4 flats"):
-        ly.layer_poset(gaussian_arrangement)
+    # the Gaussian four lines have 6 flats and 11 layers: the layer count
+    # trips the budget, also below the flat count, which only FLAT_BUDGET
+    # holds
+    from dedarr.errors import ExponentTooLarge
+    for budget in (6, 3):
+        monkeypatch.setattr(ly, "LAYER_BUDGET", budget)
+        with pytest.raises(ExponentTooLarge, match="layer count exceeded "
+                           f"the budget of {budget} "):
+            ly.layer_poset(gaussian_arrangement)
 
 
 def test_refinement_coset_budget(monkeypatch):

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -8,8 +8,10 @@ from dedarr import ring as rg
 from dedarr import zlinalg as zl
 from dedarr.errors import ElementNotInModule
 
-from conftest import (determinantal_ideals, invariant_factors,
-                      quotient_invariants, rank_over_K, restriction_rows,
+import conftest
+from conftest import (determinantal_ideals, full_range_lcm, invariant_factors,
+                      minor_walk_lcm_period, quotient_invariants,
+                      rand_table_arrangement, rank_over_K, restriction_rows,
                       vec_mat)
 
 Z = rg.rational_integers()
@@ -373,8 +375,8 @@ def test_last_factor_monotone_under_extension():
 
 def test_last_factor_divides_along_independent_extension():
     # J independent and J + {j} independent: dropping coordinate j maps
-    # coker(J + {j}) onto coker(J), so d(J) | d(J + {j}); lcm_period's walk
-    # to the bases rests on this
+    # coker(J + {j}) onto coker(J), so d(J) | d(J + {j}); the lcm period's
+    # reduction to the bases rests on this
     rng = random.Random(29)
     for ring in RINGS:
         checked = 0
@@ -397,3 +399,51 @@ def test_last_factor_divides_along_independent_extension():
                 d_small = small.last_factor()
             assert d_small.divides(big.last_factor()), (ring, cols)
             checked += 1
+
+
+def test_minor_walk_reads_each_basis_faces(monkeypatch):
+    # subset_rows gives the table rows of the s-subsets of P + (j,), the
+    # E_(r-1) rows minor_walk_lcm_period reads for a basis are exactly that
+    # basis's (r-1)-subsets, and the walk gives the lcm period of its
+    # definition
+    calls = []
+    subset_rows = conftest.subset_rows
+
+    def recorded(parents, lasts, offsets, s, p, j):
+        out = subset_rows(parents, lasts, offsets, s, p, j)
+        calls.append((s, p, j, out))
+        return out
+
+    monkeypatch.setattr(conftest, "subset_rows", recorded)
+    rng = random.Random(59)
+    faces = bases = 0
+    for ring in RINGS:
+        for _ in range(12):
+            A = rand_table_arrangement(rng, ring)
+            top = min(A.ell, A.n)
+            _, parents, lasts, offsets = cq._minor_tables(A, top)
+            row = {(): 0}
+            for s in range(1, top + 1):
+                for S in combinations(range(A.n), s):
+                    row[S] = int(offsets[s][row[S[:-1]]]) + S[-1]
+            for S in combinations(range(A.n), top):
+                for s in range(top):
+                    got = subset_rows(parents, lasts, offsets, s,
+                                      row[S[:s]], S[s])
+                    assert sorted(got) == sorted(
+                        row[F] for F in combinations(S[:s + 1], s))
+                    faces += 1
+            r = cq._rank(A)
+            del calls[:]
+            assert minor_walk_lcm_period(A) == full_range_lcm(A), A.columns
+            lookup = {i: S for S, i in row.items() if len(S) == r - 1}
+            # the recursion's own calls are for smaller s
+            for s, p, j, got in calls:
+                if s < r - 1:
+                    continue
+                basis = lookup[p] + (j,)
+                assert s == r - 1 and j > max(lookup[p], default=-1)
+                assert sorted(got) == sorted(
+                    row[F] for F in combinations(basis, r - 1)), A.columns
+                bases += 1
+    assert faces >= 300 and bases >= 100, (faces, bases)
